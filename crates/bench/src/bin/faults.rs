@@ -37,6 +37,7 @@
 use std::time::Instant;
 
 use ironhide_attacks::window::{FaultMode, WindowAttack};
+use ironhide_bench::{available_parallelism, peak_rss_bytes};
 use ironhide_core::arch::Architecture;
 use ironhide_core::attack::ChannelVerdict;
 use ironhide_core::cluster::PurgeOrder;
@@ -64,10 +65,6 @@ const SLO_DEGRADATION_FACTOR: u64 = 10;
 
 /// Thread counts the fault matrix must be byte-identical across.
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-
-fn available_parallelism() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(0)
-}
 
 fn main() {
     let mut smoke = false;
@@ -343,19 +340,4 @@ fn render_report(
     out.push_str(&format!("  \"available_parallelism\": {}\n", available_parallelism()));
     out.push_str("}\n");
     out
-}
-
-/// Peak resident set size of this process in bytes (`VmHWM` from
-/// `/proc/self/status`); 0 where procfs is unavailable.
-fn peak_rss_bytes() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().unwrap_or(0);
-            return kb * 1024;
-        }
-    }
-    0
 }

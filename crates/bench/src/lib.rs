@@ -92,6 +92,26 @@ pub fn print_header(cells: &[&str]) {
     println!("|{}|", cells.iter().map(|_| "---").collect::<Vec<_>>().join("|"));
 }
 
+/// Peak resident set size of this process in bytes (`VmHWM` from
+/// `/proc/self/status`); 0 where procfs is unavailable.
+pub fn peak_rss_bytes() -> u64 {
+    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
+        return 0;
+    };
+    for line in status.lines() {
+        if let Some(rest) = line.strip_prefix("VmHWM:") {
+            let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().unwrap_or(0);
+            return kb * 1024;
+        }
+    }
+    0
+}
+
+/// Cores the host actually offers (0 when the platform cannot say).
+pub fn available_parallelism() -> usize {
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -29,13 +29,12 @@ use std::fmt;
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use rayon::prelude::*;
-use rayon::ThreadPoolBuilder;
 
 use ironhide_sim::machine::Machine;
 
 use crate::cluster::ClusterError;
-use crate::sweep::{derive_seed, json_fields, json_string};
+use crate::fnv1a;
+use crate::sweep::{derive_seed, json_fields, json_string, write_matrix_json, CellError};
 use crate::tenancy::{AdmissionPolicy, StormConfig, StormReport, TenancyStorm};
 
 // ---------------------------------------------------------------------------
@@ -247,21 +246,9 @@ impl FaultSchedule {
     /// FNV-1a over the config and every drawn event — the number the
     /// seed-purity property test compares across replays.
     pub fn checksum(&self) -> u64 {
-        let mut c: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |v: u64| {
-            for byte in v.to_le_bytes() {
-                c ^= byte as u64;
-                c = c.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        eat(self.config.rate_per_mille as u64);
-        eat(self.config.magnitude);
-        eat(self.seed);
-        for ev in &self.events {
-            eat(ev.at_event);
-            eat(ev.target as u64);
-        }
-        c
+        let head = [self.config.rate_per_mille as u64, self.config.magnitude, self.seed];
+        let events = self.events.iter().flat_map(|ev| [ev.at_event, ev.target as u64]);
+        fnv1a(head.into_iter().chain(events).flat_map(u64::to_le_bytes))
     }
 }
 
@@ -360,27 +347,6 @@ impl fmt::Display for FaultCellKey {
     }
 }
 
-/// A fault-sweep failure: the failing cell plus the cluster error.
-#[derive(Debug, Clone)]
-pub struct FaultSweepError {
-    /// The cell that failed.
-    pub cell: FaultCellKey,
-    /// Why it failed.
-    pub error: ClusterError,
-}
-
-impl fmt::Display for FaultSweepError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "fault cell [{}] failed: {}", self.cell, self.error)
-    }
-}
-
-impl std::error::Error for FaultSweepError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.error)
-    }
-}
-
 /// One completed fault cell.
 #[derive(Debug, Clone)]
 pub struct FaultCell {
@@ -415,28 +381,13 @@ impl FaultMatrix {
     /// FNV-1a over the serialised matrix — the single number CI pins for the
     /// whole campaign.
     pub fn checksum(&self) -> u64 {
-        let mut c: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in self.to_json().as_bytes() {
-            c ^= *byte as u64;
-            c = c.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        c
+        fnv1a(self.to_json().into_bytes())
     }
 
     /// Renders the campaign as deterministic JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024 + self.cells.len() * 640);
-        out.push_str("{\n  \"master_seed\": ");
-        out.push_str(&self.master_seed.to_string());
-        out.push_str(",\n  \"cells\": [");
-        for (i, cell) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            fault_cell_json(&mut out, cell);
-        }
-        out.push_str("\n  ]\n}\n");
+        write_matrix_json(&mut out, self.master_seed, &self.cells, fault_cell_json);
         out
     }
 }
@@ -486,54 +437,33 @@ impl crate::sweep::SweepRunner {
     ///
     /// # Errors
     ///
-    /// Returns the first (in grid order) [`FaultSweepError`] if any cell
+    /// Returns the first (in grid order) [`CellError`] if any cell
     /// fails; partial results are discarded.
-    pub fn run_faults(&self, grid: &FaultGrid) -> Result<FaultMatrix, FaultSweepError> {
-        let cells = grid.keys();
-        let pool = ThreadPoolBuilder::new()
-            .num_threads(self.threads())
-            .build()
-            .expect("fault thread pool builds");
-        let machine_pools = crate::sweep::WorkerPools::new(pool.current_num_threads());
+    pub fn run_faults(
+        &self,
+        grid: &FaultGrid,
+    ) -> Result<FaultMatrix, CellError<FaultCellKey, ClusterError>> {
         let horizon = grid.storm.tenants as u64;
         let targets = self.machine_config().cores();
-        let results: Vec<Result<FaultCell, FaultSweepError>> = pool.install(|| {
-            cells
-                .par_iter()
-                .map(|key| {
-                    let seed = self.fault_cell_seed(key);
-                    let config = FaultConfig::for_kind(key.kind, key.rate_per_mille);
-                    // The schedule gets its own derived seed so fault draws
-                    // never alias the arrival stream's.
-                    let schedule = FaultSchedule::draw(
-                        config,
-                        derive_seed(seed, "fault-schedule"),
-                        horizon,
-                        targets,
-                    );
-                    let mut machine = machine_pools
-                        .take()
-                        .unwrap_or_else(|| Machine::new(self.machine_config().clone()));
-                    let storm =
-                        TenancyStorm::with_faults(&grid.storm, grid.policy, &schedule, key.arch);
-                    let result = storm.run(&mut machine, seed);
-                    machine_pools.give(machine);
-                    let report =
-                        result.map_err(|error| FaultSweepError { cell: key.clone(), error })?;
-                    Ok(FaultCell {
-                        key: key.clone(),
-                        seed,
-                        scheduled_events: schedule.events().len() as u64,
-                        report,
-                    })
-                })
-                .collect()
+        let cells = self.run_cells(&grid.keys(), |key, slot| {
+            let seed = self.fault_cell_seed(key);
+            let config = FaultConfig::for_kind(key.kind, key.rate_per_mille);
+            // The schedule gets its own derived seed so fault draws never
+            // alias the arrival stream's.
+            let schedule =
+                FaultSchedule::draw(config, derive_seed(seed, "fault-schedule"), horizon, targets);
+            let machine = slot.get_or_insert_with(|| Machine::new(self.machine_config().clone()));
+            let report = TenancyStorm::with_faults(&grid.storm, grid.policy, &schedule, key.arch)
+                .run(machine, seed)
+                .map_err(|error| CellError { cell: key.clone(), error })?;
+            Ok(FaultCell {
+                key: key.clone(),
+                seed,
+                scheduled_events: schedule.events().len() as u64,
+                report,
+            })
         });
-        let mut out = Vec::with_capacity(results.len());
-        for result in results {
-            out.push(result?);
-        }
-        Ok(FaultMatrix { master_seed: self.master_seed(), cells: out })
+        cells.map(|cells| FaultMatrix { master_seed: self.master_seed(), cells })
     }
 }
 

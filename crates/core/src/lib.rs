@@ -84,7 +84,7 @@ pub use boundary::mi6_boundary_cost;
 pub use cluster::{ClusterConfig, ClusterManager, PurgeOrder, ReconfigError};
 pub use faults::{
     BackoffPolicy, FaultArch, FaultCell, FaultCellKey, FaultConfig, FaultEvent, FaultGrid,
-    FaultKind, FaultMatrix, FaultSchedule, FaultSweepError,
+    FaultKind, FaultMatrix, FaultSchedule,
 };
 pub use ipc::SharedIpcBuffer;
 pub use isolation::{IsolationAuditor, IsolationSummary};
@@ -93,13 +93,19 @@ pub use realloc::{ReallocDecision, ReallocPolicy};
 pub use runner::{CompletionReport, ExperimentRunner, RunError};
 pub use speccheck::{SpecCheckOutcome, SpeculativeAccessCheck};
 pub use sweep::{
-    AblationCell, AblationCellKey, AblationGrid, AblationMatrix, AblationSpec, AblationSweepError,
-    AppSpec, AttackCell, AttackCellKey, AttackGrid, AttackMatrix, AttackSpec, AttackSweepError,
-    CellKey, Fig6Row, Fig7Row, Fig8Row, ScalePoint, SweepCell, SweepError, SweepGrid, SweepMatrix,
-    SweepRunner,
+    AblationCell, AblationCellKey, AblationGrid, AblationMatrix, AblationSpec, AppSpec, AttackCell,
+    AttackCellKey, AttackGrid, AttackMatrix, AttackSpec, CellError, CellKey, Fig6Row, Fig7Row,
+    Fig8Row, ScalePoint, SweepCell, SweepGrid, SweepMatrix, SweepRunner,
 };
 pub use tenancy::{
     AdmissionPolicy, Arrival, ArrivalGenerator, LoadPoint, SloAccount, StormConfig, StormReport,
-    TenancyCell, TenancyCellKey, TenancyGrid, TenancyMatrix, TenancyStorm, TenancySweepError,
-    TenantProfile,
+    TenancyCell, TenancyCellKey, TenancyGrid, TenancyMatrix, TenancyStorm, TenantProfile,
 };
+
+/// 64-bit FNV-1a over `bytes` — the one hash behind cell-seed derivation,
+/// process measurements and every checksum the tests and CI pin.
+pub(crate) fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}

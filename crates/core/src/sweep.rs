@@ -18,6 +18,10 @@
 //! ([`SweepMatrix::fig7`]) and Figure 8 re-allocation-policy sensitivity
 //! ([`SweepMatrix::fig8`]).
 //!
+//! The attack, ablation, tenancy and fault matrices run on the same engine
+//! (`SweepRunner::run_cells`), so they share this contract, report a failed
+//! cell as one [`CellError`] and serialise through one JSON envelope.
+//!
 //! The application axis is decoupled from any concrete workload crate: a
 //! sweep runs [`AppSpec`]s — a label plus a thread-safe factory closure — so
 //! `ironhide-workloads` (or any downstream user) can feed its own
@@ -27,7 +31,6 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use rayon::prelude::*;
-use rayon::ThreadPoolBuilder;
 
 use ironhide_sim::config::MachineConfig;
 use ironhide_sim::fence::{FlushSet, TemporalFenceConfig};
@@ -36,6 +39,7 @@ use ironhide_sim::machine::Machine;
 use crate::app::InteractiveApp;
 use crate::arch::{ArchParams, Architecture};
 use crate::attack::AttackOutcome;
+use crate::fnv1a;
 use crate::realloc::ReallocPolicy;
 use crate::runner::{CompletionReport, ExperimentRunner, RunError};
 
@@ -219,22 +223,28 @@ impl fmt::Display for CellKey {
 // Errors
 // ---------------------------------------------------------------------------
 
-/// A sweep failure: the failing cell plus the underlying run error.
+/// A sweep failure: the failing cell plus the underlying error. Every matrix
+/// reports failures this way — `K` is its cell key (e.g. [`CellKey`] or
+/// [`AttackCellKey`]), `E` its run error (e.g. [`RunError`]).
 #[derive(Debug, Clone)]
-pub struct SweepError {
+pub struct CellError<K, E> {
     /// The cell that failed.
-    pub cell: CellKey,
+    pub cell: K,
     /// Why it failed.
-    pub error: RunError,
+    pub error: E,
 }
 
-impl fmt::Display for SweepError {
+impl<K: fmt::Display, E: fmt::Display> fmt::Display for CellError<K, E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "sweep cell [{}] failed: {}", self.cell, self.error)
     }
 }
 
-impl std::error::Error for SweepError {
+impl<K, E> std::error::Error for CellError<K, E>
+where
+    K: fmt::Debug + fmt::Display,
+    E: std::error::Error + 'static,
+{
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         Some(&self.error)
     }
@@ -287,17 +297,12 @@ impl SweepRunner {
 
     /// The seed a given cell would run with.
     pub fn cell_seed(&self, key: &CellKey) -> u64 {
-        derive_cell_seed(self.master_seed, key)
+        derive_seed(self.master_seed, &key.to_string())
     }
 
     /// The master seed (for sibling grid runners in this crate).
     pub(crate) fn master_seed(&self) -> u64 {
         self.master_seed
-    }
-
-    /// The configured worker thread count (for sibling grid runners).
-    pub(crate) fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The machine configuration cells simulate (for sibling grid runners).
@@ -309,48 +314,58 @@ impl SweepRunner {
     ///
     /// # Errors
     ///
-    /// Returns the first (in grid order) [`SweepError`] if any cell fails;
+    /// Returns the first (in grid order) [`CellError`] if any cell fails;
     /// partial results are discarded.
-    pub fn run(&self, grid: &SweepGrid) -> Result<SweepMatrix, SweepError> {
-        // The canonical expansion is shared with SweepGrid::keys(), so the
-        // parallel section only touches immutable shared state and the cell
-        // order always matches the documented one.
-        let cells = grid.expanded();
+    pub fn run(&self, grid: &SweepGrid) -> Result<SweepMatrix, CellError<CellKey, RunError>> {
+        let cells = self.run_cells(&grid.expanded(), |(key, app, scale), slot| {
+            let seed = self.cell_seed(key);
+            let mut instance = app.instantiate(scale, seed);
+            let runner = ExperimentRunner::new(self.machine.clone())
+                .with_params(self.params)
+                .with_realloc(key.policy);
+            let (report, machine) = runner
+                .run_recycled(key.arch, instance.as_mut(), slot.take())
+                .map_err(|error| CellError { cell: key.clone(), error })?;
+            *slot = Some(machine);
+            Ok(SweepCell { key: key.clone(), seed, report })
+        });
+        cells.map(|cells| SweepMatrix { master_seed: self.master_seed, cells })
+    }
 
-        let pool = ThreadPoolBuilder::new()
+    /// The one sweep engine every `run_*` method drives: runs `run` on each
+    /// of `cells` in parallel and collects the results in grid order.
+    ///
+    /// It alone owns the determinism contract's mechanics. Callers derive
+    /// each cell's seed from its key (never from the worker), results come
+    /// back in `cells` order whichever worker finished first, and the first
+    /// error in that order wins (partial results are discarded). Each cell
+    /// receives a recycled-machine slot popped from its worker's pool (or
+    /// `None`); whatever machine the cell leaves in the slot is pushed back
+    /// for the worker's next cell.
+    pub(crate) fn run_cells<T: Sync, C: Send, E: Send>(
+        &self,
+        cells: &[T],
+        run: impl Fn(&T, &mut Option<Machine>) -> Result<C, E> + Sync,
+    ) -> Result<Vec<C>, E> {
+        let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(self.threads)
             .build()
             .expect("sweep thread pool builds");
-        // Cells recycle simulated machines through per-worker sharded pools
-        // (see WorkerPools): each worker pops from and pushes to its own
-        // shard only, so the recycling hot path shares no mutable state
-        // across workers.
         let machine_pools = WorkerPools::new(pool.current_num_threads());
-        let results: Vec<Result<SweepCell, SweepError>> = pool
-            .install(|| cells.par_iter().map(|cell| self.run_cell(cell, &machine_pools)).collect());
-
-        let mut out = Vec::with_capacity(results.len());
-        for result in results {
-            out.push(result?);
-        }
-        Ok(SweepMatrix { master_seed: self.master_seed, cells: out })
-    }
-
-    fn run_cell(
-        &self,
-        (key, app, scale): &(CellKey, &AppSpec, &ScalePoint),
-        machine_pools: &WorkerPools,
-    ) -> Result<SweepCell, SweepError> {
-        let seed = derive_cell_seed(self.master_seed, key);
-        let mut instance = app.instantiate(scale, seed);
-        let runner = ExperimentRunner::new(self.machine.clone())
-            .with_params(self.params)
-            .with_realloc(key.policy);
-        let (report, machine) = runner
-            .run_recycled(key.arch, instance.as_mut(), machine_pools.take())
-            .map_err(|error| SweepError { cell: key.clone(), error })?;
-        machine_pools.give(machine);
-        Ok(SweepCell { key: key.clone(), seed, report })
+        let results: Vec<Result<C, E>> = pool.install(|| {
+            cells
+                .par_iter()
+                .map(|cell| {
+                    let mut slot = machine_pools.take();
+                    let result = run(cell, &mut slot);
+                    if let Some(machine) = slot {
+                        machine_pools.give(machine);
+                    }
+                    result
+                })
+                .collect()
+        });
+        results.into_iter().collect()
     }
 }
 
@@ -369,16 +384,16 @@ impl SweepRunner {
 /// machine is byte-identical to a fresh one — so determinism is unaffected
 /// by which worker ran which cell.
 ///
-/// The pools live for one `run`/`run_attacks` call, which also guarantees
-/// every pooled machine was built from that call's `MachineConfig` (the
-/// contract `run_recycled` requires).
-pub(crate) struct WorkerPools {
+/// The pools live for one [`SweepRunner::run_cells`] call, which also
+/// guarantees every pooled machine was built from that call's
+/// `MachineConfig` (the contract `run_recycled` requires).
+struct WorkerPools {
     shards: Vec<Mutex<Vec<Machine>>>,
 }
 
 impl WorkerPools {
     /// Creates one shard per worker (at least one, for the serial path).
-    pub(crate) fn new(workers: usize) -> Self {
+    fn new(workers: usize) -> Self {
         WorkerPools { shards: (0..workers.max(1)).map(|_| Mutex::new(Vec::new())).collect() }
     }
 
@@ -392,34 +407,23 @@ impl WorkerPools {
     }
 
     /// Pops a recycled machine from the calling worker's shard.
-    pub(crate) fn take(&self) -> Option<Machine> {
+    fn take(&self) -> Option<Machine> {
         self.shard().lock().ok().and_then(|mut shard| shard.pop())
     }
 
     /// Returns a machine to the calling worker's shard for the next cell.
-    pub(crate) fn give(&self, machine: Machine) {
+    fn give(&self, machine: Machine) {
         if let Ok(mut shard) = self.shard().lock() {
             shard.push(machine);
         }
     }
 }
 
-/// Derives a cell's seed from the master seed and the cell key only — thread
+/// Seed derivation shared by every grid: FNV-1a over the rendered key, then a
+/// SplitMix64 finalisation so related keys map to well-separated seeds. Thread
 /// identity and execution order never enter the computation.
-fn derive_cell_seed(master_seed: u64, key: &CellKey) -> u64 {
-    derive_seed(master_seed, &key.to_string())
-}
-
-/// Seed derivation shared by the performance, attack and tenancy grids:
-/// FNV-1a over the rendered key, then a SplitMix64 finalisation so related
-/// keys map to well-separated seeds.
 pub(crate) fn derive_seed(master_seed: u64, key: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in key.bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    let mut z = hash ^ master_seed.rotate_left(32);
+    let mut z = fnv1a(key.bytes()) ^ master_seed.rotate_left(32);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -596,27 +600,6 @@ impl fmt::Display for AttackCellKey {
     }
 }
 
-/// An attack-sweep failure: the failing cell plus the underlying run error.
-#[derive(Debug, Clone)]
-pub struct AttackSweepError {
-    /// The cell that failed.
-    pub cell: AttackCellKey,
-    /// Why it failed.
-    pub error: RunError,
-}
-
-impl fmt::Display for AttackSweepError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "attack cell [{}] failed: {}", self.cell, self.error)
-    }
-}
-
-impl std::error::Error for AttackSweepError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.error)
-    }
-}
-
 /// One completed attack cell.
 #[derive(Debug, Clone)]
 pub struct AttackCell {
@@ -651,18 +634,6 @@ impl AttackMatrix {
             .find(|c| c.key.channel == channel && c.key.arch == arch && c.key.scale == scale)
     }
 
-    /// All distinct (channel, scale) pairs, in grid order.
-    fn channel_scale_pairs(&self) -> Vec<(String, String)> {
-        let mut pairs: Vec<(String, String)> = Vec::new();
-        for cell in &self.cells {
-            let pair = (cell.key.channel.clone(), cell.key.scale.clone());
-            if !pairs.contains(&pair) {
-                pairs.push(pair);
-            }
-        }
-        pairs
-    }
-
     /// Checks the differential security claim over every (channel, scale)
     /// pair for which both the insecure baseline and IRONHIDE are present:
     /// the channel must demonstrably *work* on the shared baseline (BER below
@@ -672,7 +643,8 @@ impl AttackMatrix {
     /// (empty = the claim holds).
     pub fn differential_violations(&self) -> Vec<String> {
         let mut violations = Vec::new();
-        for (channel, scale) in self.channel_scale_pairs() {
+        let pairs = distinct_pairs(self.cells.iter().map(|c| (&c.key.channel, &c.key.scale)));
+        for (channel, scale) in pairs {
             let (Some(open), Some(closed)) = (
                 self.get(&channel, Architecture::Insecure, &scale),
                 self.get(&channel, Architecture::Ironhide, &scale),
@@ -706,17 +678,7 @@ impl AttackMatrix {
     /// [`SweepMatrix::to_json`]).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(2048 + self.cells.len() * 512);
-        out.push_str("{\n  \"master_seed\": ");
-        out.push_str(&self.master_seed.to_string());
-        out.push_str(",\n  \"cells\": [");
-        for (i, cell) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            attack_cell_json(&mut out, cell);
-        }
-        out.push_str("\n  ]\n}\n");
+        write_matrix_json(&mut out, self.master_seed, &self.cells, attack_cell_json);
         out
     }
 }
@@ -734,42 +696,20 @@ impl SweepRunner {
     ///
     /// # Errors
     ///
-    /// Returns the first (in grid order) [`AttackSweepError`] if any cell
+    /// Returns the first (in grid order) [`CellError`] if any cell
     /// fails; partial results are discarded.
-    pub fn run_attacks(&self, grid: &AttackGrid) -> Result<AttackMatrix, AttackSweepError> {
-        let cells = grid.expanded();
-        let pool = ThreadPoolBuilder::new()
-            .num_threads(self.threads)
-            .build()
-            .expect("attack thread pool builds");
-        // Attack cells recycle simulated machines through the same
-        // per-worker sharded pools as the performance sweep's cells (pop
-        // from the worker's own shard, let the factory reset-pristine and
-        // run it, push it back): no shard is ever contended, and recycling
-        // cannot affect results — a recycled machine is byte-identical to a
-        // fresh one, coherence directories included.
-        let machine_pools = WorkerPools::new(pool.current_num_threads());
-        let results: Vec<Result<AttackCell, AttackSweepError>> = pool.install(|| {
-            cells
-                .par_iter()
-                .map(|(key, channel, scale)| {
-                    let seed = self.attack_cell_seed(key);
-                    let mut slot = machine_pools.take();
-                    let result = channel.execute(&self.machine, key.arch, scale, seed, &mut slot);
-                    if let Some(m) = slot {
-                        machine_pools.give(m);
-                    }
-                    let outcome =
-                        result.map_err(|error| AttackSweepError { cell: key.clone(), error })?;
-                    Ok(AttackCell { key: key.clone(), seed, outcome })
-                })
-                .collect()
+    pub fn run_attacks(
+        &self,
+        grid: &AttackGrid,
+    ) -> Result<AttackMatrix, CellError<AttackCellKey, RunError>> {
+        let cells = self.run_cells(&grid.expanded(), |(key, channel, scale), slot| {
+            let seed = self.attack_cell_seed(key);
+            let outcome = channel
+                .execute(&self.machine, key.arch, scale, seed, slot)
+                .map_err(|error| CellError { cell: key.clone(), error })?;
+            Ok(AttackCell { key: key.clone(), seed, outcome })
         });
-        let mut out = Vec::with_capacity(results.len());
-        for result in results {
-            out.push(result?);
-        }
-        Ok(AttackMatrix { master_seed: self.master_seed, cells: out })
+        cells.map(|cells| AttackMatrix { master_seed: self.master_seed, cells })
     }
 }
 
@@ -908,27 +848,6 @@ impl fmt::Display for AblationCellKey {
     }
 }
 
-/// An ablation-sweep failure: the failing cell plus the underlying run error.
-#[derive(Debug, Clone)]
-pub struct AblationSweepError {
-    /// The cell that failed.
-    pub cell: AblationCellKey,
-    /// Why it failed.
-    pub error: RunError,
-}
-
-impl fmt::Display for AblationSweepError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ablation cell [{}] failed: {}", self.cell, self.error)
-    }
-}
-
-impl std::error::Error for AblationSweepError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.error)
-    }
-}
-
 /// One completed ablation cell.
 #[derive(Debug, Clone)]
 pub struct AblationCell {
@@ -963,18 +882,6 @@ impl AblationMatrix {
             .find(|c| c.key.subset == subset && c.key.channel == channel && c.key.scale == scale)
     }
 
-    /// All distinct (channel, scale) pairs, in grid order.
-    fn channel_scale_pairs(&self) -> Vec<(String, String)> {
-        let mut pairs: Vec<(String, String)> = Vec::new();
-        for cell in &self.cells {
-            let pair = (cell.key.channel.clone(), cell.key.scale.clone());
-            if !pairs.contains(&pair) {
-                pairs.push(pair);
-            }
-        }
-        pairs
-    }
-
     /// The cheapest (lowest switch cost) subset that closes `channel` at
     /// `scale`, if any subset does. Ties break toward grid order, which lists
     /// smaller subsets first in the shipped grids.
@@ -997,7 +904,8 @@ impl AblationMatrix {
     /// holds).
     pub fn differential_violations(&self, none_label: &str, simf_label: &str) -> Vec<String> {
         let mut violations = Vec::new();
-        for (channel, scale) in self.channel_scale_pairs() {
+        let pairs = distinct_pairs(self.cells.iter().map(|c| (&c.key.channel, &c.key.scale)));
+        for (channel, scale) in pairs {
             let (Some(open), Some(simf)) =
                 (self.get(none_label, &channel, &scale), self.get(simf_label, &channel, &scale))
             else {
@@ -1034,29 +942,14 @@ impl AblationMatrix {
     /// [`AttackMatrix::to_json`]).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(2048 + self.cells.len() * 512);
-        out.push_str("{\n  \"master_seed\": ");
-        out.push_str(&self.master_seed.to_string());
-        out.push_str(",\n  \"cells\": [");
-        for (i, cell) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            ablation_cell_json(&mut out, cell);
-        }
-        out.push_str("\n  ]\n}\n");
+        write_matrix_json(&mut out, self.master_seed, &self.cells, ablation_cell_json);
         out
     }
 
     /// FNV-1a over the serialised matrix — the single number CI pins for the
     /// whole ablation (same scheme as the fault campaign's checksum).
     pub fn checksum(&self) -> u64 {
-        let mut c: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in self.to_json().as_bytes() {
-            c ^= *byte as u64;
-            c = c.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        c
+        fnv1a(self.to_json().into_bytes())
     }
 }
 
@@ -1082,45 +975,23 @@ impl SweepRunner {
     ///
     /// # Errors
     ///
-    /// Returns the first (in grid order) [`AblationSweepError`] if any cell
+    /// Returns the first (in grid order) [`CellError`] if any cell
     /// fails; partial results are discarded.
-    pub fn run_ablation(&self, grid: &AblationGrid) -> Result<AblationMatrix, AblationSweepError> {
-        let cells = grid.expanded();
-        let pool = ThreadPoolBuilder::new()
-            .num_threads(self.threads)
-            .build()
-            .expect("ablation thread pool builds");
-        let machine_pools = WorkerPools::new(pool.current_num_threads());
-        let results: Vec<Result<AblationCell, AblationSweepError>> = pool.install(|| {
-            cells
-                .par_iter()
-                .map(|(key, subset, channel, scale)| {
-                    let seed = self.ablation_cell_seed(key);
-                    let mut cell_config = self.machine.clone();
-                    cell_config.temporal_fence = subset.fence;
-                    let switch_cost = subset.fence.switch_cost(&cell_config);
-                    let mut slot = machine_pools.take();
-                    let result = channel.execute(
-                        &cell_config,
-                        Architecture::TemporalFence,
-                        scale,
-                        seed,
-                        &mut slot,
-                    );
-                    if let Some(m) = slot {
-                        machine_pools.give(m);
-                    }
-                    let outcome =
-                        result.map_err(|error| AblationSweepError { cell: key.clone(), error })?;
-                    Ok(AblationCell { key: key.clone(), seed, switch_cost, outcome })
-                })
-                .collect()
+    pub fn run_ablation(
+        &self,
+        grid: &AblationGrid,
+    ) -> Result<AblationMatrix, CellError<AblationCellKey, RunError>> {
+        let cells = self.run_cells(&grid.expanded(), |(key, subset, channel, scale), slot| {
+            let seed = self.ablation_cell_seed(key);
+            let mut cell_config = self.machine.clone();
+            cell_config.temporal_fence = subset.fence;
+            let switch_cost = subset.fence.switch_cost(&cell_config);
+            let outcome = channel
+                .execute(&cell_config, Architecture::TemporalFence, scale, seed, slot)
+                .map_err(|error| CellError { cell: key.clone(), error })?;
+            Ok(AblationCell { key: key.clone(), seed, switch_cost, outcome })
         });
-        let mut out = Vec::with_capacity(results.len());
-        for result in results {
-            out.push(result?);
-        }
-        Ok(AblationMatrix { master_seed: self.master_seed, cells: out })
+        cells.map(|cells| AblationMatrix { master_seed: self.master_seed, cells })
     }
 }
 
@@ -1234,14 +1105,7 @@ impl SweepMatrix {
 
     /// All distinct (app, scale) pairs, in grid order.
     fn app_scale_pairs(&self) -> Vec<(String, String)> {
-        let mut pairs: Vec<(String, String)> = Vec::new();
-        for cell in &self.cells {
-            let pair = (cell.key.app.clone(), cell.key.scale.clone());
-            if !pairs.contains(&pair) {
-                pairs.push(pair);
-            }
-        }
-        pairs
+        distinct_pairs(self.cells.iter().map(|c| (&c.key.app, &c.key.scale)))
     }
 
     /// The Figure 6 completion-time summary under `policy`, one row per
@@ -1360,19 +1224,23 @@ impl SweepMatrix {
     /// order) and same master seed produce byte-identical output.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096 + self.cells.len() * 1024);
-        out.push_str("{\n  \"master_seed\": ");
-        out.push_str(&self.master_seed.to_string());
-        out.push_str(",\n  \"cells\": [");
-        for (i, cell) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            cell_json(&mut out, cell);
-        }
-        out.push_str("\n  ]\n}\n");
+        write_matrix_json(&mut out, self.master_seed, &self.cells, cell_json);
         out
     }
+}
+
+/// The distinct pairs of `pairs`, in first-seen (grid) order — the rows the
+/// matrices' per-(app|channel, scale) summaries iterate over.
+fn distinct_pairs<'a>(
+    pairs: impl Iterator<Item = (&'a String, &'a String)>,
+) -> Vec<(String, String)> {
+    let mut distinct: Vec<(String, String)> = Vec::new();
+    for (a, b) in pairs {
+        if !distinct.iter().any(|(x, y)| x == a && y == b) {
+            distinct.push((a.clone(), b.clone()));
+        }
+    }
+    distinct
 }
 
 /// The geometric mean of a slice of positive values (0 when empty).
@@ -1416,6 +1284,27 @@ pub(crate) fn json_f64(out: &mut String, v: f64) {
         // JSON has no NaN/Infinity; null keeps the document well-formed.
         out.push_str("null");
     }
+}
+
+/// Renders the `{"master_seed", "cells": [...]}` envelope every matrix's
+/// `to_json` shares: one `cell_json` object per line, in grid order.
+pub(crate) fn write_matrix_json<C>(
+    out: &mut String,
+    master_seed: u64,
+    cells: &[C],
+    cell_json: impl Fn(&mut String, &C),
+) {
+    out.push_str("{\n  \"master_seed\": ");
+    out.push_str(&master_seed.to_string());
+    out.push_str(",\n  \"cells\": [");
+    for (i, cell) in cells.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("\n    ");
+        cell_json(out, cell);
+    }
+    out.push_str("\n  ]\n}\n");
 }
 
 macro_rules! json_fields {
@@ -1741,36 +1630,83 @@ mod tests {
         assert_eq!(out, "1.25");
     }
 
+    /// A fake channel's "outcome", derived purely from the cell seed.
+    fn fake_outcome(
+        config: &MachineConfig,
+        arch: Architecture,
+        scale: &ScalePoint,
+        seed: u64,
+    ) -> AttackOutcome {
+        let bits = 16u64;
+        let errors = seed % (bits + 1);
+        let ber = errors as f64 / bits as f64;
+        AttackOutcome {
+            channel: format!("fake-channel@{}", scale.label()),
+            arch,
+            payload_bits: bits,
+            bit_errors: errors,
+            ber,
+            threshold_cycles: 10.0,
+            min_probe_cycles: seed % 100,
+            max_probe_cycles: seed % 100 + 50,
+            capacity_bits_per_slot: 1.0 - ber,
+            capacity_bits_per_second: (1.0 - ber) * config.clock_ghz,
+            payload_cycles: 1000,
+            secure_cores: config.cores() / 2,
+            verdict: crate::attack::ChannelVerdict::from_ber(ber),
+            isolation: crate::isolation::IsolationSummary::default(),
+        }
+    }
+
     fn synthetic_attack_grid() -> AttackGrid {
-        // A fake channel whose "outcome" is derived purely from the cell
-        // seed, exercising grid ordering, seed plumbing and serialisation
-        // without simulating a machine (the recycled-machine slot is
-        // legitimately unused).
+        // A fake channel whose outcome is derived purely from the cell seed,
+        // exercising grid ordering, seed plumbing and serialisation without
+        // simulating a machine (the recycled-machine slot is legitimately
+        // unused).
         let spec = AttackSpec::new("fake-channel", |config, arch, scale, seed, _machine| {
-            let bits = 16u64;
-            let errors = seed % (bits + 1);
-            let ber = errors as f64 / bits as f64;
-            Ok(crate::attack::AttackOutcome {
-                channel: format!("fake-channel@{}", scale.label()),
-                arch,
-                payload_bits: bits,
-                bit_errors: errors,
-                ber,
-                threshold_cycles: 10.0,
-                min_probe_cycles: seed % 100,
-                max_probe_cycles: seed % 100 + 50,
-                capacity_bits_per_slot: 1.0 - ber,
-                capacity_bits_per_second: (1.0 - ber) * config.clock_ghz,
-                payload_cycles: 1000,
-                secure_cores: config.cores() / 2,
-                verdict: crate::attack::ChannelVerdict::from_ber(ber),
-                isolation: crate::isolation::IsolationSummary::default(),
-            })
+            Ok(fake_outcome(config, arch, scale, seed))
         });
         AttackGrid::new()
             .with_channel(spec)
             .with_architectures(&[Architecture::Insecure, Architecture::Ironhide])
             .with_scale(ScalePoint::new("Smoke"))
+    }
+
+    #[test]
+    fn first_failing_cell_in_grid_order_is_reported_at_any_thread_count() {
+        // Two cells fail; the later one in grid order (ch5 under Insecure)
+        // may well finish first on a parallel run, but the engine must
+        // report the earlier one (ch2 under IRONHIDE).
+        let failing = [("ch2", Architecture::Ironhide), ("ch5", Architecture::Insecure)];
+        let mut grid = AttackGrid::new()
+            .with_architectures(&[Architecture::Insecure, Architecture::Ironhide])
+            .with_scale(ScalePoint::new("Smoke"));
+        for i in 0..8 {
+            let label = format!("ch{i}");
+            let fails_under: Vec<Architecture> =
+                failing.iter().filter(|(l, _)| *l == label).map(|&(_, arch)| arch).collect();
+            let spec = AttackSpec::new(label, move |config, arch, scale, seed, _| {
+                if fails_under.contains(&arch) {
+                    let total = config.cores();
+                    let error = crate::cluster::ClusterError::EmptyCluster { requested: 0, total };
+                    return Err(RunError::Cluster(error));
+                }
+                Ok(fake_outcome(config, arch, scale, seed))
+            });
+            grid = grid.with_channel(spec);
+        }
+        let expected = grid
+            .keys()
+            .into_iter()
+            .find(|k| k.channel == "ch2" && k.arch == Architecture::Ironhide)
+            .unwrap();
+        for threads in [1, 2, 8] {
+            let err = test_runner().with_threads(threads).run_attacks(&grid).unwrap_err();
+            assert_eq!(err.cell, expected, "{threads} threads reported the wrong cell");
+            let shown = err.to_string();
+            assert!(shown.starts_with("sweep cell ["), "{shown}");
+            assert!(shown.contains(&expected.to_string()), "{shown}");
+        }
     }
 
     #[test]

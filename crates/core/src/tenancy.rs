@@ -29,8 +29,6 @@ use std::fmt;
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use rayon::prelude::*;
-use rayon::ThreadPoolBuilder;
 
 use ironhide_mesh::NodeId;
 use ironhide_sim::machine::Machine;
@@ -38,8 +36,9 @@ use ironhide_sim::process::SecurityClass;
 
 use crate::cluster::{ClusterError, ClusterManager, ReconfigError};
 use crate::faults::{FaultArch, FaultKind, FaultSchedule};
+use crate::fnv1a;
 use crate::kernel::{AppDomain, SecureKernel};
-use crate::sweep::{derive_seed, json_fields, json_string};
+use crate::sweep::{derive_seed, json_fields, json_string, write_matrix_json, CellError};
 
 /// The enclave author key tenants sign their images with (the tenancy
 /// counterpart of the attack harness's victim key).
@@ -260,14 +259,7 @@ impl SloAccount {
     /// FNV-1a over the completion samples then the stall samples (in
     /// recording order) — the byte-stable checksum CI pins.
     pub fn checksum(&self) -> u64 {
-        let mut c: u64 = 0xcbf2_9ce4_8422_2325;
-        for s in self.completion_cycles.iter().chain(&self.stall_cycles) {
-            for byte in s.to_le_bytes() {
-                c ^= byte as u64;
-                c = c.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
-        c
+        fnv1a(self.completion_cycles.iter().chain(&self.stall_cycles).flat_map(|s| s.to_le_bytes()))
     }
 }
 
@@ -915,7 +907,7 @@ impl TenancyGrid {
 
     /// The canonical cell expansion: load-major, then policy (mirrors the
     /// other grids' single source of truth for ordering).
-    pub(crate) fn expanded(&self) -> Vec<(TenancyCellKey, &LoadPoint, AdmissionPolicy)> {
+    fn expanded(&self) -> Vec<(TenancyCellKey, &LoadPoint, AdmissionPolicy)> {
         let mut cells = Vec::with_capacity(self.len());
         for load in &self.loads {
             for policy in &self.policies {
@@ -949,27 +941,6 @@ impl fmt::Display for TenancyCellKey {
     }
 }
 
-/// A tenancy-sweep failure: the failing cell plus the cluster error.
-#[derive(Debug, Clone)]
-pub struct TenancySweepError {
-    /// The cell that failed.
-    pub cell: TenancyCellKey,
-    /// Why it failed.
-    pub error: ClusterError,
-}
-
-impl fmt::Display for TenancySweepError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "tenancy cell [{}] failed: {}", self.cell, self.error)
-    }
-}
-
-impl std::error::Error for TenancySweepError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.error)
-    }
-}
-
 /// One completed tenancy cell.
 #[derive(Debug, Clone)]
 pub struct TenancyCell {
@@ -1000,30 +971,13 @@ impl TenancyMatrix {
     /// FNV-1a over every cell's SLO checksum, in grid order — the single
     /// number CI pins for the whole matrix.
     pub fn checksum(&self) -> u64 {
-        let mut c: u64 = 0xcbf2_9ce4_8422_2325;
-        for cell in &self.cells {
-            for byte in cell.report.slo.checksum().to_le_bytes() {
-                c ^= byte as u64;
-                c = c.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
-        c
+        fnv1a(self.cells.iter().flat_map(|cell| cell.report.slo.checksum().to_le_bytes()))
     }
 
     /// Renders the matrix as deterministic JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024 + self.cells.len() * 512);
-        out.push_str("{\n  \"master_seed\": ");
-        out.push_str(&self.master_seed.to_string());
-        out.push_str(",\n  \"cells\": [");
-        for (i, cell) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            tenancy_cell_json(&mut out, cell);
-        }
-        out.push_str("\n  ]\n}\n");
+        write_matrix_json(&mut out, self.master_seed, &self.cells, tenancy_cell_json);
         out
     }
 }
@@ -1069,37 +1023,21 @@ impl crate::sweep::SweepRunner {
     ///
     /// # Errors
     ///
-    /// Returns the first (in grid order) [`TenancySweepError`] if any cell
+    /// Returns the first (in grid order) [`CellError`] if any cell
     /// fails; partial results are discarded.
-    pub fn run_tenancy(&self, grid: &TenancyGrid) -> Result<TenancyMatrix, TenancySweepError> {
-        let cells = grid.expanded();
-        let pool = ThreadPoolBuilder::new()
-            .num_threads(self.threads())
-            .build()
-            .expect("tenancy thread pool builds");
-        let machine_pools = crate::sweep::WorkerPools::new(pool.current_num_threads());
-        let results: Vec<Result<TenancyCell, TenancySweepError>> = pool.install(|| {
-            cells
-                .par_iter()
-                .map(|(key, load, policy)| {
-                    let seed = self.tenancy_cell_seed(key);
-                    let mut machine = machine_pools
-                        .take()
-                        .unwrap_or_else(|| Machine::new(self.machine_config().clone()));
-                    let storm = TenancyStorm::new(&load.config, *policy);
-                    let result = storm.run(&mut machine, seed);
-                    machine_pools.give(machine);
-                    let report =
-                        result.map_err(|error| TenancySweepError { cell: key.clone(), error })?;
-                    Ok(TenancyCell { key: key.clone(), seed, report })
-                })
-                .collect()
+    pub fn run_tenancy(
+        &self,
+        grid: &TenancyGrid,
+    ) -> Result<TenancyMatrix, CellError<TenancyCellKey, ClusterError>> {
+        let cells = self.run_cells(&grid.expanded(), |(key, load, policy), slot| {
+            let seed = self.tenancy_cell_seed(key);
+            let machine = slot.get_or_insert_with(|| Machine::new(self.machine_config().clone()));
+            let report = TenancyStorm::new(&load.config, *policy)
+                .run(machine, seed)
+                .map_err(|error| CellError { cell: key.clone(), error })?;
+            Ok(TenancyCell { key: key.clone(), seed, report })
         });
-        let mut out = Vec::with_capacity(results.len());
-        for result in results {
-            out.push(result?);
-        }
-        Ok(TenancyMatrix { master_seed: self.master_seed(), cells: out })
+        cells.map(|cells| TenancyMatrix { master_seed: self.master_seed(), cells })
     }
 }
 

@@ -56,14 +56,14 @@ pub mod prelude {
     pub use ironhide_core::cluster::{ClusterManager, PurgeOrder};
     pub use ironhide_core::faults::{
         BackoffPolicy, FaultArch, FaultCell, FaultCellKey, FaultConfig, FaultEvent, FaultGrid,
-        FaultKind, FaultMatrix, FaultSchedule, FaultSweepError,
+        FaultKind, FaultMatrix, FaultSchedule,
     };
     pub use ironhide_core::realloc::ReallocPolicy;
     pub use ironhide_core::runner::{CompletionReport, ExperimentRunner};
     pub use ironhide_core::sweep::{
         AblationCell, AblationCellKey, AblationGrid, AblationMatrix, AblationSpec, AppSpec,
-        AttackCell, AttackCellKey, AttackGrid, AttackMatrix, AttackSpec, CellKey, Fig6Row, Fig7Row,
-        Fig8Row, ScalePoint, SweepCell, SweepGrid, SweepMatrix, SweepRunner,
+        AttackCell, AttackCellKey, AttackGrid, AttackMatrix, AttackSpec, CellError, CellKey,
+        Fig6Row, Fig7Row, Fig8Row, ScalePoint, SweepCell, SweepGrid, SweepMatrix, SweepRunner,
     };
     pub use ironhide_core::tenancy::{
         AdmissionPolicy, Arrival, ArrivalGenerator, LoadPoint, SloAccount, StormConfig,
