@@ -8,13 +8,19 @@
 //!    that shares caches and DRAM freely, quantifying what spatial
 //!    partitioning costs when purges are already eliminated.
 
-use ironhide_bench::{geometric_mean, print_header, print_row, Sweep};
+use ironhide_bench::{geometric_mean, paper_sweep, print_header, print_row};
 use ironhide_core::arch::Architecture;
 use ironhide_core::realloc::ReallocPolicy;
 use ironhide_workloads::app::AppId;
 
 fn main() {
-    let sweep = Sweep::default();
+    let matrix = paper_sweep(
+        &[Architecture::SgxLike, Architecture::Ironhide],
+        &[ReallocPolicy::Static, ReallocPolicy::Heuristic],
+    );
+    let report = |app: AppId, arch, policy| {
+        &matrix.get(app.label(), arch, policy, "Paper").expect("swept").report
+    };
     println!("# Ablation: dynamic hardware isolation and partitioning cost\n");
     print_header(&[
         "Application",
@@ -28,14 +34,14 @@ fn main() {
     let mut static_times = Vec::new();
     let mut dynamic_times = Vec::new();
     for app in AppId::ALL {
-        let fixed = sweep.run_one(app, Architecture::Ironhide, ReallocPolicy::Static);
-        let dynamic = sweep.run_one(app, Architecture::Ironhide, ReallocPolicy::Heuristic);
-        let sgx = sweep.run_one(app, Architecture::SgxLike, ReallocPolicy::Heuristic);
+        let fixed = report(app, Architecture::Ironhide, ReallocPolicy::Static);
+        let dynamic = report(app, Architecture::Ironhide, ReallocPolicy::Heuristic);
+        let sgx = report(app, Architecture::SgxLike, ReallocPolicy::Heuristic);
         print_row(&[
             app.label().to_string(),
             format!("{:.2}", fixed.total_time_ms()),
             format!("{:.2}", dynamic.total_time_ms()),
-            format!("{:.2}x", dynamic.speedup_over(&fixed)),
+            format!("{:.2}x", dynamic.speedup_over(fixed)),
             format!("{:.2}", sgx.total_time_ms()),
             format!("{:+.1}", (dynamic.total_time_ms() / sgx.total_time_ms() - 1.0) * 100.0),
         ]);

@@ -4,21 +4,25 @@
 //! Paper reference points: SGX ≈ 1.33×, MI6 ≈ 2.25×, IRONHIDE well below MI6
 //! (≈ 2.1× faster than MI6 and ≈ 20 % faster than SGX).
 
-use ironhide_bench::{geometric_mean, print_header, print_row, Sweep};
+use ironhide_bench::{geometric_mean, paper_sweep, print_header, print_row};
 use ironhide_core::arch::Architecture;
 use ironhide_core::realloc::ReallocPolicy;
+use ironhide_workloads::app::AppId;
 
 fn main() {
-    let sweep = Sweep::default();
+    let matrix = paper_sweep(&Architecture::ALL, &[ReallocPolicy::Heuristic]);
+    let report = |app: AppId, arch| {
+        &matrix.get(app.label(), arch, ReallocPolicy::Heuristic, "Paper").expect("swept").report
+    };
     println!("# Figure 1(a): normalized geometric-mean completion time (vs. insecure)\n");
 
-    let insecure = sweep.run_all(Architecture::Insecure, ReallocPolicy::Heuristic);
     print_header(&["Architecture", "Normalized completion time (geomean)"]);
     let mut summary = Vec::new();
     for arch in [Architecture::SgxLike, Architecture::Mi6, Architecture::Ironhide] {
-        let reports = sweep.run_all(arch, ReallocPolicy::Heuristic);
-        let normalized: Vec<f64> =
-            reports.iter().zip(insecure.iter()).map(|(r, base)| r.normalized_to(base)).collect();
+        let normalized: Vec<f64> = AppId::ALL
+            .iter()
+            .map(|&app| report(app, arch).normalized_to(report(app, Architecture::Insecure)))
+            .collect();
         let geo = geometric_mean(&normalized);
         print_row(&[arch.to_string(), format!("{geo:.2}x")]);
         summary.push((arch, geo));

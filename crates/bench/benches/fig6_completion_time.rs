@@ -3,24 +3,20 @@
 //! overhead, with the number of secure-cluster cores chosen by IRONHIDE and
 //! the user-level / OS-level / overall geometric means.
 
-use ironhide_bench::{geometric_mean, print_header, print_row, Sweep};
+use ironhide_bench::{geometric_mean, paper_sweep, print_header, print_row};
 use ironhide_core::arch::Architecture;
 use ironhide_core::realloc::ReallocPolicy;
-use ironhide_core::runner::CompletionReport;
 use ironhide_workloads::app::AppId;
 
-fn geo_of(
-    reports: &[(AppId, CompletionReport)],
-    apps: &[AppId],
-    f: impl Fn(&CompletionReport) -> f64,
-) -> f64 {
-    let values: Vec<f64> =
-        reports.iter().filter(|(a, _)| apps.contains(a)).map(|(_, r)| f(r)).collect();
-    geometric_mean(&values)
-}
-
 fn main() {
-    let sweep = Sweep::default();
+    let archs = [Architecture::SgxLike, Architecture::Mi6, Architecture::Ironhide];
+    let matrix = paper_sweep(&archs, &[ReallocPolicy::Heuristic]);
+    let report = |app: AppId, arch| {
+        &matrix.get(app.label(), arch, ReallocPolicy::Heuristic, "Paper").expect("swept").report
+    };
+    let geo_of = |apps: &[AppId], arch| {
+        geometric_mean(&apps.iter().map(|&a| report(a, arch).total_time_ms()).collect::<Vec<_>>())
+    };
     println!("# Figure 6: completion time per interactive application (ms)\n");
     print_header(&[
         "Application",
@@ -34,12 +30,9 @@ fn main() {
         "MI6/IRONHIDE speedup",
     ]);
 
-    let mut per_arch: Vec<(AppId, CompletionReport, CompletionReport, CompletionReport)> =
-        Vec::new();
+    let mut per_arch = Vec::new();
     for app in AppId::ALL {
-        let sgx = sweep.run_one(app, Architecture::SgxLike, ReallocPolicy::Heuristic);
-        let mi6 = sweep.run_one(app, Architecture::Mi6, ReallocPolicy::Heuristic);
-        let ih = sweep.run_one(app, Architecture::Ironhide, ReallocPolicy::Heuristic);
+        let [sgx, mi6, ih] = archs.map(|arch| report(app, arch));
         assert!(sgx.isolation.is_clean() && mi6.isolation.is_clean() && ih.isolation.is_clean());
         print_row(&[
             app.label().to_string(),
@@ -50,17 +43,10 @@ fn main() {
             format!("{:.2}", ih.compute_time_ms()),
             format!("{:.2}", ih.overhead_time_ms() + ih.reconfig_time_ms()),
             format!("{}", ih.secure_cores),
-            format!("{:.2}x", ih.speedup_over(&mi6)),
+            format!("{:.2}x", ih.speedup_over(mi6)),
         ]);
-        per_arch.push((app, sgx, mi6, ih));
+        per_arch.push((sgx, mi6, ih));
     }
-
-    let all: Vec<(AppId, CompletionReport)> =
-        per_arch.iter().map(|(a, _, _, ih)| (*a, ih.clone())).collect();
-    let mi6_all: Vec<(AppId, CompletionReport)> =
-        per_arch.iter().map(|(a, _, mi6, _)| (*a, mi6.clone())).collect();
-    let sgx_all: Vec<(AppId, CompletionReport)> =
-        per_arch.iter().map(|(a, sgx, _, _)| (*a, sgx.clone())).collect();
 
     println!("\n## Geometric means (completion time, ms)\n");
     print_header(&["Group", "SGX", "MI6", "IRONHIDE", "MI6/IRONHIDE", "SGX/IRONHIDE"]);
@@ -69,9 +55,7 @@ fn main() {
         ("OS-level", AppId::os_level()),
         ("All", AppId::ALL.to_vec()),
     ] {
-        let sgx = geo_of(&sgx_all, &apps, |r| r.total_time_ms());
-        let mi6 = geo_of(&mi6_all, &apps, |r| r.total_time_ms());
-        let ih = geo_of(&all, &apps, |r| r.total_time_ms());
+        let [sgx, mi6, ih] = archs.map(|arch| geo_of(&apps, arch));
         print_row(&[
             label.to_string(),
             format!("{sgx:.2}"),
@@ -85,10 +69,10 @@ fn main() {
     // The per-interaction purge overhead the paper quotes for MI6 (~0.19 ms)
     // and the purge-component improvement of IRONHIDE over MI6 (~706x).
     let mi6_overhead_per_interaction: Vec<f64> =
-        per_arch.iter().map(|(_, _, mi6, _)| mi6.overhead_per_interaction_ms()).collect();
+        per_arch.iter().map(|(_, mi6, _)| mi6.overhead_per_interaction_ms()).collect();
     let purge_improvement: Vec<f64> = per_arch
         .iter()
-        .map(|(_, _, mi6, ih)| {
+        .map(|(_, mi6, ih)| {
             let ih_over = (ih.overhead_cycles + ih.reconfig_cycles).max(1) as f64;
             mi6.overhead_cycles as f64 / ih_over
         })

@@ -6,13 +6,13 @@
 //! miss rates by up to 2×, with `<TC, GRAPH>` and `<LIGHTTPD, OS>` as the
 //! exceptions where IRONHIDE's asymmetric L2 allocation is slightly worse.
 
-use ironhide_bench::{geometric_mean, print_header, print_row, Sweep};
+use ironhide_bench::{geometric_mean, paper_sweep, print_header, print_row};
 use ironhide_core::arch::Architecture;
 use ironhide_core::realloc::ReallocPolicy;
-use ironhide_workloads::app::AppId;
 
 fn main() {
-    let sweep = Sweep::default();
+    let matrix =
+        paper_sweep(&[Architecture::Mi6, Architecture::Ironhide], &[ReallocPolicy::Heuristic]);
     println!("# Figure 7: cache miss rates (%) under MI6 and IRONHIDE\n");
     print_header(&[
         "Application",
@@ -28,22 +28,20 @@ fn main() {
     let mut l1_ih = Vec::new();
     let mut l2_mi6 = Vec::new();
     let mut l2_ih = Vec::new();
-    for app in AppId::ALL {
-        let mi6 = sweep.run_one(app, Architecture::Mi6, ReallocPolicy::Heuristic);
-        let ih = sweep.run_one(app, Architecture::Ironhide, ReallocPolicy::Heuristic);
+    for row in matrix.fig7(ReallocPolicy::Heuristic) {
         print_row(&[
-            app.label().to_string(),
-            format!("{:.1}", mi6.l1_miss_rate * 100.0),
-            format!("{:.1}", ih.l1_miss_rate * 100.0),
-            format!("{:.1}x", mi6.l1_miss_rate / ih.l1_miss_rate.max(1e-9)),
-            format!("{:.1}", mi6.l2_miss_rate * 100.0),
-            format!("{:.1}", ih.l2_miss_rate * 100.0),
-            format!("{:.1}x", mi6.l2_miss_rate / ih.l2_miss_rate.max(1e-9)),
+            row.app,
+            format!("{:.1}", row.mi6_l1 * 100.0),
+            format!("{:.1}", row.ironhide_l1 * 100.0),
+            format!("{:.1}x", row.mi6_l1 / row.ironhide_l1.max(1e-9)),
+            format!("{:.1}", row.mi6_l2 * 100.0),
+            format!("{:.1}", row.ironhide_l2 * 100.0),
+            format!("{:.1}x", row.mi6_l2 / row.ironhide_l2.max(1e-9)),
         ]);
-        l1_mi6.push(mi6.l1_miss_rate * 100.0);
-        l1_ih.push(ih.l1_miss_rate * 100.0);
-        l2_mi6.push(mi6.l2_miss_rate * 100.0);
-        l2_ih.push(ih.l2_miss_rate * 100.0);
+        l1_mi6.push(row.mi6_l1 * 100.0);
+        l1_ih.push(row.ironhide_l1 * 100.0);
+        l2_mi6.push(row.mi6_l2 * 100.0);
+        l2_ih.push(row.ironhide_l2 * 100.0);
     }
 
     println!("\n## Geometric means\n");

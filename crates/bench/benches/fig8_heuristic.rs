@@ -6,10 +6,9 @@
 //! the MI6 baseline, and the Heuristic stays within the ±5 % decision
 //! variations.
 
-use ironhide_bench::{geometric_mean, print_header, print_row, Sweep};
+use ironhide_bench::{geometric_mean, paper_sweep, print_header, print_row};
 use ironhide_core::arch::Architecture;
 use ironhide_core::realloc::ReallocPolicy;
-use ironhide_workloads::app::AppId;
 
 fn policy_label(policy: ReallocPolicy) -> String {
     match policy {
@@ -22,14 +21,15 @@ fn policy_label(policy: ReallocPolicy) -> String {
 }
 
 fn main() {
-    let sweep = Sweep::default();
+    let policies = ReallocPolicy::figure8_set();
+    let matrix = paper_sweep(&[Architecture::Mi6, Architecture::Ironhide], &policies);
     println!("# Figure 8: sensitivity to the core re-allocation decision\n");
 
     // The MI6 baseline every policy is compared against.
-    let mi6: Vec<f64> = sweep
-        .run_all(Architecture::Mi6, ReallocPolicy::Heuristic)
-        .iter()
-        .map(|r| r.total_time_ms())
+    let mi6_cells = matrix.cells.iter().filter(|c| c.key.arch == Architecture::Mi6);
+    let mi6: Vec<f64> = mi6_cells
+        .filter(|c| c.key.policy == ReallocPolicy::Heuristic)
+        .map(|c| c.report.total_time_ms())
         .collect();
     let mi6_geo = geometric_mean(&mi6);
 
@@ -46,9 +46,10 @@ fn main() {
         "1.00x".to_string(),
     ]);
 
-    for policy in ReallocPolicy::figure8_set() {
-        let reports = sweep.run_all(Architecture::Ironhide, policy);
-        let times: Vec<f64> = reports.iter().map(|r| r.total_time_ms()).collect();
+    let fig8 = matrix.fig8();
+    for policy in policies {
+        let times: Vec<f64> =
+            fig8.iter().filter(|r| r.policy == policy).map(|r| r.total_ms).collect();
         let geo = geometric_mean(&times);
         print_row(&[
             policy_label(policy),
@@ -60,8 +61,7 @@ fn main() {
 
     println!("\nSecure-cluster cores chosen by the Heuristic per application:");
     print_header(&["Application", "Secure cores (of 64)"]);
-    for app in AppId::ALL {
-        let r = sweep.run_one(app, Architecture::Ironhide, ReallocPolicy::Heuristic);
-        print_row(&[app.label().to_string(), r.secure_cores.to_string()]);
+    for row in fig8.iter().filter(|r| r.policy == ReallocPolicy::Heuristic) {
+        print_row(&[row.app.clone(), row.secure_cores.to_string()]);
     }
 }

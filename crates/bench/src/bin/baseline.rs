@@ -10,8 +10,8 @@
 //!
 //! The headline `accesses_per_sec` is measured on **one** worker thread
 //! (sequential hot-path cost); a `scaling` section then re-runs the same
-//! grid at 1, 2 and 8 workers and checks that every configuration produces
-//! the same simulated-cycle checksum — the determinism the sweep runner
+//! grid at 1, 2 and 8 workers and checks that every configuration
+//! serialises the byte-identical matrix — the determinism the sweep runner
 //! guarantees — while recording how wall time scales.
 //!
 //! Usage:
@@ -24,10 +24,11 @@
 //! ```
 //!
 //! `--threads <n>` replaces the 1/2/8 scaling set with a single `n`-worker
-//! run (which then also provides the headline figures). CI uses it to
-//! re-derive the smoke checksum in a separate 2-thread process and assert it
-//! equals the default run's — cross-thread determinism checked across
-//! processes, not just inside one harness invocation.
+//! run (which then also provides the headline figures). Under `--smoke`
+//! every run — a separate 2-thread process included — must reproduce
+//! `pins::BASELINE_SMOKE` and clear `pins::ACCESS_RATE_FLOOR` before it
+//! writes anything: cross-thread determinism checked across processes, not
+//! just inside one harness invocation.
 //!
 //! The access count is the number of simulated memory accesses across
 //! **every** phase of every cell — predictor probes, warm-up and the
@@ -53,151 +54,84 @@
 //! BENCH_5's flat-to-negative scaling read as a parallelism bug until that
 //! distinction was recorded.
 
-use std::time::Instant;
+use ironhide_bench::{
+    available_parallelism, check_floor, check_pin, fail, parse_args, peak_rss_bytes, pins,
+    run_baseline, simulated_cycles, thread_identity, write_report, HarnessArgs,
+};
+use ironhide_core::sweep::SweepMatrix;
 
-use ironhide_bench::{available_parallelism, peak_rss_bytes};
-use ironhide_core::arch::Architecture;
-use ironhide_core::realloc::ReallocPolicy;
-use ironhide_core::sweep::{SweepMatrix, SweepRunner};
-use ironhide_sim::config::MachineConfig;
-use ironhide_workloads::app::{sweep_grid, AppId, ScaleFactor};
-
-/// Master seed of the baseline sweep (arbitrary but fixed forever: changing
-/// it would make the `total_cycles` checksum incomparable across PRs).
-const MASTER_SEED: u64 = 2;
-
-/// Thread counts of the scaling section.
-const SCALING_THREADS: [usize; 3] = [1, 2, 8];
-
-/// One scaling-section measurement.
-struct ScalePoint {
-    threads: usize,
-    wall_s: f64,
-    rate: u64,
-    sim_cycles: u64,
-}
+const HARNESS: &str = "baseline";
 
 fn main() {
-    let mut smoke = false;
-    let mut out_path = String::from("BENCH_6.json");
-    let mut threads_override: Option<usize> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => {
-                out_path = args.next().unwrap_or_else(|| {
-                    eprintln!("--out requires a path");
-                    std::process::exit(2);
-                });
-            }
-            "--threads" => {
-                threads_override = Some(
-                    args.next().and_then(|n| n.parse().ok()).filter(|&n| n > 0).unwrap_or_else(
-                        || {
-                            eprintln!("--threads requires a positive worker count");
-                            std::process::exit(2);
-                        },
-                    ),
-                );
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: baseline [--smoke] [--threads <n>] [--out <path>]");
-                std::process::exit(2);
-            }
-        }
+    let args = parse_args(HARNESS, "BENCH_6.json", true);
+    let (matrix, walls) = run(&args);
+    if args.smoke {
+        smoke_gate(&matrix, walls[0].1);
     }
+    write_report(HARNESS, &args.out, &render_report(&args, &matrix, &walls));
+}
 
-    let apps: Vec<AppId> =
-        if smoke { vec![AppId::QueryAes, AppId::PrGraph] } else { AppId::ALL.to_vec() };
-    let archs = if smoke {
-        vec![Architecture::Mi6, Architecture::Ironhide]
+/// Sweeps the grid at every worker count through the thread-identity gate,
+/// returning the first run's matrix and every run's wall time; exits
+/// non-zero if a run fails or diverges. The headline figures come from the
+/// first run (sequential by default, the overridden count under --threads).
+fn run(args: &HarnessArgs) -> (SweepMatrix, Vec<(usize, f64)>) {
+    eprintln!("baseline: running {} grid at {:?} threads...", args.label(), args.threads);
+    thread_identity(&args.threads, |threads| {
+        let matrix = run_baseline(args.smoke, threads)
+            .unwrap_or_else(|e| fail(HARNESS, &format!("sweep failed: {e}")));
+        let json = matrix.to_json();
+        (matrix, json)
+    })
+    .unwrap_or_else(|n| fail(HARNESS, &format!("NONDETERMINISM — the {n}-thread matrix differs")))
+}
+
+/// The smoke grid's pin and floor: it simulates accesses (at least the
+/// measured phase's), reproduces `pins::BASELINE_SMOKE` and clears
+/// `pins::ACCESS_RATE_FLOOR` on its headline run.
+fn smoke_gate(matrix: &SweepMatrix, wall_s: f64) {
+    let accesses: u64 = matrix.cells.iter().map(|c| c.report.sim_accesses_total).sum();
+    let measured: u64 = matrix.cells.iter().map(|c| c.report.machine.l1.accesses).sum();
+    if accesses == 0 {
+        fail(HARNESS, "smoke grid must simulate accesses");
+    }
+    if accesses < measured {
+        fail(HARNESS, "the all-phase access count cannot undercut the measured phase");
+    }
+    check_pin(HARNESS, "simulated_cycles_total", simulated_cycles(matrix), pins::BASELINE_SMOKE);
+    let headline = rate(accesses, wall_s);
+    check_floor(HARNESS, "accesses_per_sec", headline, pins::ACCESS_RATE_FLOOR);
+}
+
+/// Simulated accesses per wall second, rounded (0 for a zero wall time).
+fn rate(accesses: u64, wall_s: f64) -> u64 {
+    if wall_s > 0.0 {
+        (accesses as f64 / wall_s).round() as u64
     } else {
-        Architecture::ALL.to_vec()
-    };
-    let grid = sweep_grid(&apps, &archs, &[ReallocPolicy::Heuristic], &[ScaleFactor::Smoke]);
-    let label = if smoke { "smoke" } else { "full" };
-
-    let scaling_threads: Vec<usize> =
-        threads_override.map_or_else(|| SCALING_THREADS.to_vec(), |n| vec![n]);
-    let headline_threads = scaling_threads[0];
-    let mut scaling: Vec<ScalePoint> = Vec::new();
-    let mut headline: Option<(SweepMatrix, f64)> = None;
-    for threads in scaling_threads {
-        let runner = SweepRunner::new(MachineConfig::paper_default())
-            .with_threads(threads)
-            .with_seed(MASTER_SEED);
-        eprintln!(
-            "baseline: running {label} grid ({} cells, {threads} thread{})...",
-            grid.len(),
-            if threads == 1 { "" } else { "s" }
-        );
-        let start = Instant::now();
-        let matrix = runner.run(&grid).unwrap_or_else(|e| {
-            eprintln!("baseline sweep failed: {e}");
-            std::process::exit(1);
-        });
-        let wall = start.elapsed().as_secs_f64();
-        let accesses: u64 = matrix.cells.iter().map(|c| c.report.sim_accesses_total).sum();
-        let sim_cycles: u64 = matrix.cells.iter().map(|c| c.report.total_cycles).sum();
-        let rate = if wall > 0.0 { (accesses as f64 / wall).round() as u64 } else { 0 };
-        // Determinism gate: every thread count must agree on the checksum.
-        if let Some(first) = scaling.first() {
-            if sim_cycles != first.sim_cycles {
-                eprintln!(
-                    "baseline: NONDETERMINISM — {threads}-thread checksum {sim_cycles} != \
-                     1-thread checksum {}",
-                    first.sim_cycles
-                );
-                std::process::exit(1);
-            }
-        }
-        scaling.push(ScalePoint { threads, wall_s: wall, rate, sim_cycles });
-        if threads == headline_threads && headline.is_none() {
-            // The headline figures come from the scaling set's first run
-            // (sequential by default, the overridden count under --threads).
-            headline = Some((matrix, wall));
-        }
+        0
     }
-
-    let (matrix, wall) = headline.expect("the scaling set includes the headline run");
-    let report = render_report(&matrix, label, wall, peak_rss_bytes(), &scaling);
-    std::fs::write(&out_path, &report).unwrap_or_else(|e| {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    });
-    eprintln!("baseline: wrote {out_path}");
-    // A human-readable one-liner for logs; the JSON is the durable record.
-    println!("{report}");
 }
 
 /// Renders the measurement as deterministic-layout JSON (the values of the
 /// timing fields naturally vary run to run; the layout does not).
-fn render_report(
-    matrix: &SweepMatrix,
-    grid_label: &str,
-    wall_s: f64,
-    peak_rss: u64,
-    scaling: &[ScalePoint],
-) -> String {
+fn render_report(args: &HarnessArgs, matrix: &SweepMatrix, walls: &[(usize, f64)]) -> String {
     let accesses: u64 = matrix.cells.iter().map(|c| c.report.sim_accesses_total).sum();
     let measured: u64 = matrix.cells.iter().map(|c| c.report.machine.l1.accesses).sum();
-    let sim_cycles: u64 = matrix.cells.iter().map(|c| c.report.total_cycles).sum();
-    let rate = if wall_s > 0.0 { accesses as f64 / wall_s } else { 0.0 };
+    let sim_cycles = simulated_cycles(matrix);
+    let wall_s = walls[0].1;
     let cores = available_parallelism();
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"benchmark\": \"access_hot_path_baseline\",\n");
-    out.push_str(&format!("  \"grid\": \"{grid_label}\",\n"));
+    out.push_str(&format!("  \"grid\": \"{}\",\n", args.label()));
     out.push_str(&format!("  \"cells\": {},\n", matrix.cells.len()));
     out.push_str(&format!("  \"master_seed\": {},\n", matrix.master_seed));
     out.push_str(&format!("  \"accesses\": {accesses},\n"));
     out.push_str(&format!("  \"measured_accesses\": {measured},\n"));
     out.push_str(&format!("  \"wall_seconds\": {wall_s:.3},\n"));
-    out.push_str(&format!("  \"accesses_per_sec\": {},\n", rate.round() as u64));
+    out.push_str(&format!("  \"accesses_per_sec\": {},\n", rate(accesses, wall_s)));
     out.push_str(&format!("  \"simulated_cycles_total\": {sim_cycles},\n"));
-    out.push_str(&format!("  \"peak_rss_bytes\": {peak_rss},\n"));
+    out.push_str(&format!("  \"peak_rss_bytes\": {},\n", peak_rss_bytes()));
     out.push_str(&format!("  \"available_parallelism\": {cores},\n"));
     // Coherence traffic of the measured phase, summed over every cell's
     // directory counters and the NoC's maintenance-class packets (see the
@@ -216,23 +150,73 @@ fn render_report(
     out.push_str(&format!("    \"maintenance_packets\": {maintenance}\n"));
     out.push_str("  },\n");
     out.push_str("  \"scaling\": [\n");
-    for (i, p) in scaling.iter().enumerate() {
+    for (i, &(threads, wall)) in walls.iter().enumerate() {
         // threads > cores points measure oversubscription (scheduler churn),
         // not parallel speedup; the flag keeps container artifacts (a 1-CPU
         // CI host) distinguishable from genuine scaling regressions.
-        let oversubscribed = cores != 0 && p.threads > cores;
+        let oversubscribed = cores != 0 && threads > cores;
         out.push_str(&format!(
-            "    {{\"threads\": {}, \"wall_seconds\": {:.3}, \"accesses_per_sec\": {}, \
-             \"simulated_cycles_total\": {}, \"threads_exceed_cores\": {}}}{}\n",
-            p.threads,
-            p.wall_s,
-            p.rate,
-            p.sim_cycles,
-            oversubscribed,
-            if i + 1 == scaling.len() { "" } else { "," }
+            "    {{\"threads\": {threads}, \"wall_seconds\": {wall:.3}, \
+             \"accesses_per_sec\": {}, \"simulated_cycles_total\": {sim_cycles}, \
+             \"threads_exceed_cores\": {oversubscribed}}}{}\n",
+            rate(accesses, wall),
+            if i + 1 == walls.len() { "" } else { "," }
         ));
     }
     out.push_str("  ]\n");
     out.push_str("}\n");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ironhide_bench::THREAD_COUNTS;
+
+    #[test]
+    fn smoke_report_carries_every_field() {
+        // The rate floor guards optimised builds, so the report is rendered
+        // without the smoke gate.
+        let args = HarnessArgs { smoke: true, out: String::new(), threads: THREAD_COUNTS.to_vec() };
+        let (matrix, walls) = run(&args);
+        let report = render_report(&args, &matrix, &walls);
+        for field in [
+            "accesses",
+            "measured_accesses",
+            "wall_seconds",
+            "accesses_per_sec",
+            "simulated_cycles_total",
+            "peak_rss_bytes",
+            "available_parallelism",
+            "coherence",
+            "scaling",
+        ] {
+            assert!(report.contains(&format!("\n  \"{field}\": ")), "missing field: {field}");
+        }
+        for field in [
+            "directory_lookups",
+            "invalidations",
+            "downgrades",
+            "back_invalidations",
+            "maintenance_packets",
+        ] {
+            assert!(
+                report.contains(&format!("\n    \"{field}\": ")),
+                "missing coherence field: {field}"
+            );
+        }
+        let cores = available_parallelism();
+        for threads in THREAD_COUNTS {
+            let point = report
+                .lines()
+                .find(|l| l.starts_with(&format!("    {{\"threads\": {threads},")))
+                .unwrap_or_else(|| panic!("no {threads}-thread scaling point"));
+            let exceeds = cores != 0 && threads > cores;
+            assert!(
+                point.contains(&format!("\"threads_exceed_cores\": {exceeds}}}")),
+                "threads_exceed_cores mislabels the {threads}-thread point"
+            );
+        }
+        assert_eq!(report.matches("{\"threads\": ").count(), THREAD_COUNTS.len());
+    }
 }

@@ -19,7 +19,10 @@
 //!
 //! The full grid also re-runs the BENCH_6 baseline sweeps (full + smoke) and
 //! embeds their simulated-cycle checksums, pinning the storm measurement to a
-//! simulator whose end-to-end semantics are byte-unchanged.
+//! simulator whose end-to-end semantics are byte-unchanged. Under `--smoke`
+//! the batched stall checksum and the embedded smoke baseline checksum must
+//! equal their `ironhide_bench::pins`, and the batched rate must clear
+//! `pins::RECONFIG_RATE_FLOOR`, before anything is written.
 //!
 //! Usage:
 //!
@@ -29,75 +32,38 @@
 //! cargo run --release -p ironhide-bench --bin churn -- --out path.json
 //! ```
 
-use std::time::Instant;
+use ironhide_bench::storm::{run_storm, StormParams, StormResult, STORM_SEED};
+use ironhide_bench::{
+    available_parallelism, check_floor, check_pin, fail, parse_args, peak_rss_bytes, pins,
+    run_baseline, simulated_cycles, write_report, HarnessArgs,
+};
 
-use ironhide_bench::{available_parallelism, peak_rss_bytes};
-use ironhide_core::arch::Architecture;
-use ironhide_core::cluster::ClusterManager;
-use ironhide_core::realloc::ReallocPolicy;
-use ironhide_core::sweep::SweepRunner;
-use ironhide_mesh::{ClusterId, NodeId};
-use ironhide_sim::config::MachineConfig;
-use ironhide_sim::machine::Machine;
-use ironhide_sim::process::{ProcessId, SecurityClass};
-use ironhide_workloads::app::{sweep_grid, AppId, ScaleFactor};
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
-
-/// Master seed of the storm (arbitrary but fixed forever: changing it would
-/// make the stall-cycle checksum incomparable across PRs).
-const MASTER_SEED: u64 = 7;
-
-/// Master seed of the embedded baseline sweeps (must stay the BENCH_6 seed so
-/// the embedded checksums are the pinned 102451907 / 9755096 values).
-const BASELINE_SEED: u64 = 2;
-
-/// Secure-cluster shapes the storm alternates between. Row-major splits on
-/// the paper's 8×8 mesh; every consecutive pair differs, so every
-/// reconfiguration moves tiles, purges slices and re-homes pages.
-const SHAPES: [usize; 6] = [8, 16, 24, 32, 40, 56];
-
-/// One pass's measurement.
-struct StormResult {
-    wall_s: f64,
-    rate: u64,
-    stall_checksum: u64,
-    pages_rehomed: u64,
-    scrub_probes: u64,
-}
-
-struct StormParams {
-    reconfigs: u64,
-    warm_pages: u64,
-}
+const HARNESS: &str = "churn";
 
 fn main() {
-    let mut smoke = false;
-    let mut out_path = String::from("BENCH_7.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => {
-                out_path = args.next().unwrap_or_else(|| {
-                    eprintln!("--out requires a path");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: churn [--smoke] [--out <path>]");
-                std::process::exit(2);
-            }
-        }
+    let args = parse_args(HARNESS, "BENCH_7.json", false);
+    let churn = run(&args);
+    if args.smoke {
+        smoke_gate(&churn);
     }
+    write_report(HARNESS, &args.out, &render_report(&args, &churn));
+}
 
-    let label = if smoke { "smoke" } else { "full" };
-    let params = if smoke {
-        StormParams { reconfigs: 40, warm_pages: 64 }
-    } else {
-        StormParams { reconfigs: 200, warm_pages: 128 }
-    };
+/// Both storm passes plus the embedded baseline checksums.
+struct Churn {
+    params: StormParams,
+    reference: StormResult,
+    batched: StormResult,
+    /// `(name, simulated_cycles_total)` of the re-run baseline sweeps: the
+    /// smoke grid's, preceded by the full grid's in full mode.
+    baseline_checksums: Vec<(&'static str, u64)>,
+}
+
+/// Runs both storm passes through the differential gate and re-derives the
+/// baseline checksums; exits non-zero if the passes diverge.
+fn run(args: &HarnessArgs) -> Churn {
+    let label = args.label();
+    let params = StormParams::new(args.smoke);
 
     eprintln!("churn: running {label} storm ({} reconfigs, reference pass)...", params.reconfigs);
     let reference = run_storm(&params, true);
@@ -108,162 +74,54 @@ fn main() {
     // observably identical to the scalar reference, stall cycle for stall
     // cycle, before its throughput may be reported.
     if reference.stall_checksum != batched.stall_checksum {
-        eprintln!(
-            "churn: DIVERGENCE — batched stall checksum {} != reference {}",
-            batched.stall_checksum, reference.stall_checksum
-        );
-        std::process::exit(1);
+        let (b, r) = (batched.stall_checksum, reference.stall_checksum);
+        fail(HARNESS, &format!("DIVERGENCE — batched stall checksum {b} != reference {r}"));
     }
     if reference.pages_rehomed != batched.pages_rehomed {
-        eprintln!(
-            "churn: DIVERGENCE — batched pages_rehomed {} != reference {}",
-            batched.pages_rehomed, reference.pages_rehomed
-        );
-        std::process::exit(1);
+        let (b, r) = (batched.pages_rehomed, reference.pages_rehomed);
+        fail(HARNESS, &format!("DIVERGENCE — batched pages_rehomed {b} != reference {r}"));
     }
 
-    // Full mode: pin the storm to an end-to-end-unchanged simulator by
-    // re-deriving the BENCH_6 baseline checksums.
-    let baseline_checksums = if smoke {
+    // Pin the storm to an end-to-end-unchanged simulator by re-deriving the
+    // baseline checksums.
+    let baseline_checksum = |smoke| {
+        let matrix = run_baseline(smoke, 1)
+            .unwrap_or_else(|e| fail(HARNESS, &format!("embedded baseline sweep failed: {e}")));
+        simulated_cycles(&matrix)
+    };
+    let baseline_checksums = if args.smoke {
         vec![("smoke", baseline_checksum(true))]
     } else {
         vec![("full_grid", baseline_checksum(false)), ("smoke", baseline_checksum(true))]
     };
-
-    let speedup =
-        if reference.rate > 0 { batched.rate as f64 / reference.rate as f64 } else { 0.0 };
-    let report = render_report(label, &params, &reference, &batched, speedup, &baseline_checksums);
-    std::fs::write(&out_path, &report).unwrap_or_else(|e| {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    });
-    eprintln!("churn: wrote {out_path}");
-    println!("{report}");
+    Churn { params, reference, batched, baseline_checksums }
 }
 
-/// Builds the warmed two-process machine and cluster manager every storm pass
-/// starts from. Identical across passes by construction (the machine is
-/// byte-deterministic and the warm-up is fixed).
-fn prepare(params: &StormParams) -> (Machine, ClusterManager, ProcessId, ProcessId) {
-    let mut machine = Machine::new(MachineConfig::paper_default());
-    let secure = machine.create_process("tenant-secure", SecurityClass::Secure);
-    let insecure = machine.create_process("tenant-insecure", SecurityClass::Insecure);
-    let (manager, _) =
-        ClusterManager::form(&mut machine, secure, insecure, SHAPES[3]).expect("initial clusters");
-    warm(&mut machine, &manager, secure, insecure, 0, params.warm_pages);
-    (machine, manager, secure, insecure)
-}
-
-/// Touches pages `base..base + pages` per process from cores spread over the
-/// process's cluster, so pins, L1/L2 lines and directory entries are all
-/// resident when a reconfiguration hits. The storm advances `base` between
-/// iterations — a sliding window, like real tenants continuously allocating:
-/// re-touched pages repopulate the caches, fresh pages allocate and pin
-/// round-robin over the *current* allowed slices, so every later shrink has
-/// real pages to move (a fixed working set converges to pins inside the
-/// always-allowed slice range and the storm degenerates to pure purges).
-fn warm(
-    machine: &mut Machine,
-    manager: &ClusterManager,
-    secure: ProcessId,
-    insecure: ProcessId,
-    base: u64,
-    pages: u64,
-) {
-    let secure_cores: Vec<NodeId> = manager.cores_iter(ClusterId::Secure).collect();
-    let insecure_cores: Vec<NodeId> = manager.cores_iter(ClusterId::Insecure).collect();
-    for p in base..base + pages {
-        let vaddr = p * 4096;
-        let sc = secure_cores[p as usize % secure_cores.len()];
-        let ic = insecure_cores[p as usize % insecure_cores.len()];
-        machine.access(sc, secure, vaddr, p % 3 == 0);
-        machine.access(ic, insecure, vaddr, p % 3 == 1);
-        // A second reader per page gives the directories Shared entries, so
-        // the scrub's sharer census has real work.
-        machine.access(secure_cores[(p as usize + 1) % secure_cores.len()], secure, vaddr, false);
+/// The smoke storm's pins and floor: the batched stall checksum and the
+/// embedded smoke baseline reproduce their pins, pages really move, and the
+/// batched pass clears `pins::RECONFIG_RATE_FLOOR`.
+fn smoke_gate(churn: &Churn) {
+    let batched = &churn.batched;
+    check_pin(HARNESS, "storm stall-cycle checksum", batched.stall_checksum, pins::STORM_SMOKE);
+    if batched.pages_rehomed == 0 {
+        fail(HARNESS, "the storm must re-home pages, identically in both passes");
     }
-}
-
-/// Runs one seed-deterministic storm pass, timing only the `reconfigure`
-/// calls, and returns its measurement.
-fn run_storm(params: &StormParams, reference: bool) -> StormResult {
-    let (mut machine, mut manager, secure, insecure) = prepare(params);
-    machine.set_reconfig_reference(reference);
-    let mut rng = StdRng::seed_from_u64(MASTER_SEED);
-    let mut current = SHAPES[3];
-    let mut stall_checksum = 0u64;
-    let mut stalled = std::time::Duration::ZERO;
-    for i in 0..params.reconfigs {
-        let idx = (rng.next_u64() % SHAPES.len() as u64) as usize;
-        let mut target = SHAPES[idx];
-        if target == current {
-            target = SHAPES[(idx + 1) % SHAPES.len()];
-        }
-        let start = Instant::now();
-        let cycles =
-            manager.reconfigure(&mut machine, secure, insecure, target).expect("valid storm shape");
-        stalled += start.elapsed();
-        stall_checksum = stall_checksum.wrapping_add(cycles);
-        current = target;
-        // Open-loop tenant activity between reconfigurations (untimed): the
-        // window slides a quarter of its width per iteration, so caches and
-        // directories are resident *and* fresh pages keep pinning onto the
-        // current cluster shape, as real churn would.
-        warm(
-            &mut machine,
-            &manager,
-            secure,
-            insecure,
-            (i + 1) * params.warm_pages / 4,
-            params.warm_pages,
-        );
-    }
-    let wall_s = stalled.as_secs_f64();
-    let rate = if wall_s > 0.0 { (params.reconfigs as f64 / wall_s).round() as u64 } else { 0 };
-    StormResult {
-        wall_s,
-        rate,
-        stall_checksum,
-        pages_rehomed: machine.stats().pages_rehomed,
-        scrub_probes: machine.scrub_probes(),
-    }
-}
-
-/// Re-runs the BENCH_6 baseline sweep (smoke or full) and returns its
-/// simulated-cycle checksum.
-fn baseline_checksum(smoke: bool) -> u64 {
-    let apps: Vec<AppId> =
-        if smoke { vec![AppId::QueryAes, AppId::PrGraph] } else { AppId::ALL.to_vec() };
-    let archs = if smoke {
-        vec![Architecture::Mi6, Architecture::Ironhide]
-    } else {
-        Architecture::ALL.to_vec()
-    };
-    let grid = sweep_grid(&apps, &archs, &[ReallocPolicy::Heuristic], &[ScaleFactor::Smoke]);
-    let runner =
-        SweepRunner::new(MachineConfig::paper_default()).with_threads(1).with_seed(BASELINE_SEED);
-    let matrix = runner.run(&grid).unwrap_or_else(|e| {
-        eprintln!("churn: embedded baseline sweep failed: {e}");
-        std::process::exit(1);
-    });
-    matrix.cells.iter().map(|c| c.report.total_cycles).sum()
+    let embedded = churn.baseline_checksums.last().expect("the smoke baseline always runs").1;
+    check_pin(HARNESS, "embedded baseline checksum", embedded, pins::BASELINE_SMOKE);
+    check_floor(HARNESS, "batched reconfigs_per_sec", batched.rate, pins::RECONFIG_RATE_FLOOR);
 }
 
 /// Renders the measurement as deterministic-layout JSON (timing fields vary
 /// run to run; everything else, including both checksums, must not).
-fn render_report(
-    grid_label: &str,
-    params: &StormParams,
-    reference: &StormResult,
-    batched: &StormResult,
-    speedup: f64,
-    baseline_checksums: &[(&str, u64)],
-) -> String {
+fn render_report(args: &HarnessArgs, churn: &Churn) -> String {
+    let Churn { params, reference, batched, baseline_checksums } = churn;
+    let speedup =
+        if reference.rate > 0 { batched.rate as f64 / reference.rate as f64 } else { 0.0 };
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"benchmark\": \"reconfiguration_storm\",\n");
-    out.push_str(&format!("  \"grid\": \"{grid_label}\",\n"));
-    out.push_str(&format!("  \"master_seed\": {MASTER_SEED},\n"));
+    out.push_str(&format!("  \"grid\": \"{}\",\n", args.label()));
+    out.push_str(&format!("  \"master_seed\": {STORM_SEED},\n"));
     out.push_str(&format!("  \"reconfigs\": {},\n", params.reconfigs));
     out.push_str(&format!("  \"warm_pages_per_process\": {},\n", params.warm_pages));
     for (name, r) in [("reference", reference), ("batched", batched)] {
@@ -286,4 +144,46 @@ fn render_report(
     out.push_str(&format!("  \"available_parallelism\": {}\n", available_parallelism()));
     out.push_str("}\n");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn smoke_report_carries_every_field() {
+        // The rate floor guards optimised builds, so the report is rendered
+        // without the smoke gate.
+        let args = HarnessArgs { smoke: true, out: String::new(), threads: vec![1] };
+        let report = render_report(&args, &run(&args));
+        for field in [
+            "benchmark",
+            "grid",
+            "master_seed",
+            "reconfigs",
+            "warm_pages_per_process",
+            "reference",
+            "batched",
+            "speedup",
+            "baseline_checksums",
+            "peak_rss_bytes",
+            "available_parallelism",
+        ] {
+            assert!(report.contains(&format!("\n  \"{field}\": ")), "missing field: {field}");
+        }
+        for field in [
+            "wall_seconds",
+            "reconfigs_per_sec",
+            "stall_cycle_checksum",
+            "pages_rehomed",
+            "scrub_probes",
+        ] {
+            assert_eq!(
+                report.matches(&format!("\n    \"{field}\": ")).count(),
+                2,
+                "missing {field}"
+            );
+        }
+        assert!(report.contains("\n  \"grid\": \"smoke\","));
+    }
 }

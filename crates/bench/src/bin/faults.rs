@@ -26,6 +26,10 @@
 //!    under fire), and the unaudited fail-open variant must judge OPEN (the
 //!    negative control proving the audit is load-bearing, not decorative).
 //!
+//! Under `--smoke` the harness also checks the campaign checksum against
+//! `ironhide_bench::pins`, the 16-cell grid shape, and that the faulted half
+//! of the grid actually injected faults.
+//!
 //! Usage:
 //!
 //! ```text
@@ -34,22 +38,19 @@
 //! cargo run --release -p ironhide-bench --bin faults -- --out path.json
 //! ```
 
-use std::time::Instant;
-
 use ironhide_attacks::window::{FaultMode, WindowAttack};
-use ironhide_bench::{available_parallelism, peak_rss_bytes};
+use ironhide_bench::{
+    available_parallelism, check_pin, fail, fault_grid, parse_args, peak_rss_bytes, pins,
+    thread_identity, write_report, HarnessArgs, FAULTS_SEED,
+};
 use ironhide_core::arch::Architecture;
 use ironhide_core::attack::ChannelVerdict;
 use ironhide_core::cluster::PurgeOrder;
-use ironhide_core::faults::{FaultArch, FaultGrid, FaultKind, FaultMatrix};
+use ironhide_core::faults::FaultMatrix;
 use ironhide_core::sweep::SweepRunner;
-use ironhide_core::tenancy::{AdmissionPolicy, StormConfig};
 use ironhide_sim::config::MachineConfig;
-use ironhide_workloads::{tenant_profiles, AppId};
 
-/// Master seed of the fault campaign (arbitrary but fixed forever: changing
-/// it would make the campaign checksums incomparable across PRs).
-const MASTER_SEED: u64 = 11;
+const HARNESS: &str = "faults";
 
 /// Seed of the fault-channel verdict rows (matches the window-attack tests).
 const WINDOW_SEED: u64 = 7;
@@ -63,81 +64,59 @@ const WINDOW_DROP_RATE: u32 = 800;
 /// this factor of its healthy (rate-0) same-kind, same-discipline baseline.
 const SLO_DEGRADATION_FACTOR: u64 = 10;
 
-/// Thread counts the fault matrix must be byte-identical across.
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-
 fn main() {
-    let mut smoke = false;
-    let mut out_path = String::from("BENCH_9.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => {
-                out_path = args.next().unwrap_or_else(|| {
-                    eprintln!("--out requires a path");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: faults [--smoke] [--out <path>]");
-                std::process::exit(2);
-            }
-        }
+    let args = parse_args(HARNESS, "BENCH_9.json", false);
+    let campaign = run(&args);
+    if args.smoke {
+        smoke_gate(&campaign.matrix);
     }
+    write_report(HARNESS, &args.out, &render_report(&args, &campaign));
+}
 
-    let label = if smoke { "smoke" } else { "full" };
-    let grid = fault_grid(smoke);
+/// Everything the report renders.
+struct Campaign {
+    matrix: FaultMatrix,
+    channel_rows: Vec<ChannelRow>,
+    sweep_walls: Vec<(usize, f64)>,
+}
+
+/// Sweeps the campaign and runs the four gates; exits non-zero on the first
+/// failed gate.
+fn run(args: &HarnessArgs) -> Campaign {
+    let (grid, label) = (fault_grid(args.smoke), args.label());
 
     // Gate 1: the matrix must serialise byte-identically at every thread
-    // count. The single-threaded pass is the canonical one reported.
-    eprintln!(
-        "faults: running {label} campaign ({} cells) at {THREAD_COUNTS:?} threads...",
-        grid.len()
-    );
-    let mut canonical: Option<(FaultMatrix, String)> = None;
-    let mut sweep_walls = Vec::with_capacity(THREAD_COUNTS.len());
-    for threads in THREAD_COUNTS {
+    // count. The first pass is the canonical one reported.
+    eprintln!("faults: running {label} campaign ({} cells) at {:?}...", grid.len(), args.threads);
+    let (matrix, sweep_walls) = thread_identity(&args.threads, |threads| {
         let runner = SweepRunner::new(MachineConfig::paper_default())
             .with_threads(threads)
-            .with_seed(MASTER_SEED);
-        let start = Instant::now();
-        let matrix = runner.run_faults(&grid).unwrap_or_else(|e| {
-            eprintln!("faults: sweep failed: {e}");
-            std::process::exit(1);
-        });
-        sweep_walls.push((threads, start.elapsed().as_secs_f64()));
+            .with_seed(FAULTS_SEED);
+        let matrix = runner
+            .run_faults(&grid)
+            .unwrap_or_else(|e| fail(HARNESS, &format!("sweep failed: {e}")));
         let json = matrix.to_json();
-        match &canonical {
-            None => canonical = Some((matrix, json)),
-            Some((_, reference)) => {
-                if *reference != json {
-                    eprintln!("faults: DIVERGENCE — matrix at {threads} threads differs from 1");
-                    std::process::exit(1);
-                }
-            }
-        }
-    }
-    let (matrix, _) = canonical.expect("at least one thread count ran");
+        (matrix, json)
+    })
+    .unwrap_or_else(|n| fail(HARNESS, &format!("NONDETERMINISM — the {n}-thread matrix differs")));
 
     // Gate 2: conservation — no tenant is ever lost, only delayed or
     // re-routed, whatever broke underneath.
     for cell in &matrix.cells {
-        let r = &cell.report;
+        let (r, key) = (&cell.report, &cell.key);
         if !r.conserves_tenants() {
-            eprintln!(
-                "faults: CONSERVATION FAILURE in [{}]: {} + {} + {} + {} != {}",
-                cell.key, r.admitted, r.denied, r.queued, r.failed_recovered, r.arrived
-            );
-            std::process::exit(1);
+            let sum =
+                format!("{} + {} + {} + {}", r.admitted, r.denied, r.queued, r.failed_recovered);
+            fail(HARNESS, &format!("CONSERVATION FAILURE in [{key}]: {sum} != {}", r.arrived));
         }
-        if cell.key.arch.audited() && r.dropped_scrubs_unrecovered != 0 {
-            eprintln!(
-                "faults: AUDIT FAILURE in [{}]: {} dropped packets left unrecovered",
-                cell.key, r.dropped_scrubs_unrecovered
+        let unrecovered = r.dropped_scrubs_unrecovered;
+        if key.arch.audited() && unrecovered != 0 {
+            fail(
+                HARNESS,
+                &format!(
+                    "AUDIT FAILURE in [{key}]: {unrecovered} dropped packets left unrecovered"
+                ),
             );
-            std::process::exit(1);
         }
     }
 
@@ -147,17 +126,16 @@ fn main() {
             continue;
         }
         let baseline = matrix.get(cell.key.kind, 0, cell.key.arch).unwrap_or_else(|| {
-            eprintln!("faults: grid has no healthy baseline for [{}]", cell.key);
-            std::process::exit(1);
+            fail(HARNESS, &format!("grid has no healthy baseline for [{}]", cell.key))
         });
         let base_p99 = baseline.report.slo.completion_percentile(99, 100).max(1);
         let faulted_p99 = cell.report.slo.completion_percentile(99, 100);
         if faulted_p99 > base_p99.saturating_mul(SLO_DEGRADATION_FACTOR) {
-            eprintln!(
-                "faults: DEGRADATION FAILURE in [{}]: p99 {faulted_p99} > {SLO_DEGRADATION_FACTOR}x healthy {base_p99}",
-                cell.key
+            let bound = format!("{SLO_DEGRADATION_FACTOR}x healthy {base_p99}");
+            fail(
+                HARNESS,
+                &format!("DEGRADATION FAILURE in [{}]: p99 {faulted_p99} > {bound}", cell.key),
             );
-            std::process::exit(1);
         }
     }
 
@@ -165,47 +143,33 @@ fn main() {
     // fault when audited, and demonstrably not survive it when not.
     eprintln!("faults: judging the faulted reconfiguration-window channel...");
     let channel_rows = fault_channel_rows();
-    for row in &channel_rows {
-        if row.outcome.verdict != row.expected {
-            eprintln!(
-                "faults: CHANNEL VERDICT FAILURE — {} judged {} (BER {}), expected {}",
-                row.outcome.channel, row.outcome.verdict, row.outcome.ber, row.expected
-            );
-            std::process::exit(1);
+    for ChannelRow { expected, outcome: o, .. } in &channel_rows {
+        if o.verdict != *expected {
+            let judged = format!("{} judged {} (BER {})", o.channel, o.verdict, o.ber);
+            fail(HARNESS, &format!("CHANNEL VERDICT FAILURE — {judged}, expected {expected}"));
         }
     }
-
-    let report = render_report(label, &matrix, &channel_rows, &sweep_walls);
-    std::fs::write(&out_path, &report).unwrap_or_else(|e| {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    });
-    eprintln!("faults: wrote {out_path}");
-    println!("{report}");
+    Campaign { matrix, channel_rows, sweep_walls }
 }
 
-/// The {kind × rate × arch} campaign grid over one tenant storm.
-fn fault_grid(smoke: bool) -> FaultGrid {
-    let (tenants, rates): (usize, &[u32]) =
-        if smoke { (40, &[0, 200]) } else { (120, &[0, 120, 500]) };
-    let storm = StormConfig {
-        tenants,
-        mean_interarrival_cycles: 30_000,
-        mean_service_scale: 1,
-        host_reserve_cores: 8,
-        profiles: tenant_profiles(&AppId::ALL),
-    };
-    let mut grid = FaultGrid::new(storm, AdmissionPolicy::Queue);
-    for kind in FaultKind::ALL {
-        grid = grid.with_kind(kind);
+/// The smoke pin and golden shape: 4 kinds × 2 rates × 2 disciplines, and
+/// the faulted half of the grid really injects faults.
+fn smoke_gate(matrix: &FaultMatrix) {
+    check_pin(HARNESS, "fault campaign checksum", matrix.checksum(), pins::FAULTS_SMOKE);
+    if matrix.cells.len() != 16 {
+        fail(HARNESS, "smoke grid is 4 kinds x 2 rates x 2 arches");
     }
-    for rate in rates {
-        grid = grid.with_rate(*rate);
+    let fired: u64 = matrix
+        .cells
+        .iter()
+        .map(|c| {
+            let r = &c.report;
+            r.faults_injected + r.dropped_scrubs_detected + r.dropped_scrubs_unrecovered
+        })
+        .sum();
+    if fired == 0 {
+        fail(HARNESS, "the faulted half of the grid must actually inject faults");
     }
-    for arch in FaultArch::ALL {
-        grid = grid.with_arch(arch);
-    }
-    grid
 }
 
 /// One fault-channel verdict row: the expected verdict, the measured attack
@@ -226,22 +190,19 @@ fn fault_channel_rows() -> Vec<ChannelRow> {
             .with_fault(mode, WINDOW_DROP_RATE);
         let (outcome, audit) = attack
             .assess_faulted(Architecture::Ironhide, WINDOW_SEED, &mut None)
-            .unwrap_or_else(|e| {
-                eprintln!("faults: window attack failed: {e}");
-                std::process::exit(1);
-            });
+            .unwrap_or_else(|e| fail(HARNESS, &format!("window attack failed: {e}")));
         if expected == ChannelVerdict::Closed {
             if !audit.is_clean() {
-                eprintln!("faults: CHANNEL AUDIT FAILURE — closed row has dirty audit: {audit:?}");
-                std::process::exit(1);
+                fail(
+                    HARNESS,
+                    &format!("CHANNEL AUDIT FAILURE — closed row has dirty audit: {audit:?}"),
+                );
             }
             if audit.dropped_detected == 0 {
-                eprintln!("faults: CHANNEL FAULT FAILURE — closed row dropped nothing");
-                std::process::exit(1);
+                fail(HARNESS, "CHANNEL FAULT FAILURE — closed row dropped nothing");
             }
         } else if audit.dropped_unrecovered == 0 {
-            eprintln!("faults: NEGATIVE CONTROL FAILURE — open row left no residue");
-            std::process::exit(1);
+            fail(HARNESS, "NEGATIVE CONTROL FAILURE — open row left no residue");
         }
         ChannelRow { expected, outcome, audit }
     };
@@ -253,19 +214,15 @@ fn fault_channel_rows() -> Vec<ChannelRow> {
 
 /// Renders the measurement as deterministic-layout JSON (timing fields vary
 /// run to run; everything else, including every checksum, must not).
-fn render_report(
-    grid_label: &str,
-    matrix: &FaultMatrix,
-    channel_rows: &[ChannelRow],
-    sweep_walls: &[(usize, f64)],
-) -> String {
+fn render_report(args: &HarnessArgs, campaign: &Campaign) -> String {
+    let Campaign { matrix, channel_rows, sweep_walls } = campaign;
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"benchmark\": \"fault_campaign\",\n");
-    out.push_str(&format!("  \"grid\": \"{grid_label}\",\n"));
-    out.push_str(&format!("  \"master_seed\": {MASTER_SEED},\n"));
+    out.push_str(&format!("  \"grid\": \"{}\",\n", args.label()));
+    out.push_str(&format!("  \"master_seed\": {FAULTS_SEED},\n"));
     out.push_str(&format!("  \"campaign_checksum\": {},\n", matrix.checksum()));
-    out.push_str(&format!("  \"thread_counts_identical\": {THREAD_COUNTS:?},\n"));
+    out.push_str(&format!("  \"thread_counts_identical\": {:?},\n", args.threads));
     out.push_str(&format!("  \"slo_degradation_factor_bound\": {SLO_DEGRADATION_FACTOR},\n"));
 
     out.push_str("  \"cells\": [\n");
@@ -340,4 +297,65 @@ fn render_report(
     out.push_str(&format!("  \"available_parallelism\": {}\n", available_parallelism()));
     out.push_str("}\n");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ironhide_bench::THREAD_COUNTS;
+
+    #[test]
+    fn smoke_report_carries_every_field() {
+        let args = HarnessArgs { smoke: true, out: String::new(), threads: THREAD_COUNTS.to_vec() };
+        let campaign = run(&args);
+        smoke_gate(&campaign.matrix);
+        let report = render_report(&args, &campaign);
+        for field in [
+            "benchmark",
+            "grid",
+            "master_seed",
+            "campaign_checksum",
+            "thread_counts_identical",
+            "slo_degradation_factor_bound",
+            "cells",
+            "fault_channel",
+            "sweep_wall_seconds",
+            "peak_rss_bytes",
+            "available_parallelism",
+        ] {
+            assert!(report.contains(&format!("\n  \"{field}\": ")), "missing field: {field}");
+        }
+        assert!(report.contains("\n  \"grid\": \"smoke\","));
+        assert!(report.contains("\n  \"thread_counts_identical\": [1, 2, 8],"));
+        let cells = &report[report.find("\"cells\": [").expect("cells")
+            ..report.find("\"fault_channel\"").expect("rows")];
+        for field in [
+            "kind",
+            "rate_per_mille",
+            "arch",
+            "arrived",
+            "admitted",
+            "denied",
+            "queued",
+            "failed_recovered",
+            "conserved",
+            "faults_injected",
+            "quarantined_tiles",
+            "backoff_retries",
+            "dropped_scrubs_detected",
+            "dropped_scrubs_recovered",
+            "dropped_scrubs_unrecovered",
+            "completion_p50_cycles",
+            "completion_p99_cycles",
+            "stall_p99_cycles",
+            "reconfigurations",
+            "slo_checksum",
+        ] {
+            assert_eq!(cells.matches(&format!("\"{field}\": ")).count(), 16, "cell field {field}");
+        }
+        for channel in ["reconfig-window-dropped-purge-audited", "reconfig-window-dropped-purge"] {
+            let row = format!("{{\"channel\": \"{channel}\",");
+            assert!(report.contains(&row), "missing fault-channel row {channel}");
+        }
+    }
 }

@@ -24,6 +24,10 @@
 //!    injected rehome-before-purge mis-ordering — the golden rows proving
 //!    the stall sequence's purge ordering is what closes the window.
 //!
+//! Under `--smoke` the harness also checks the tenancy checksum against
+//! `ironhide_bench::pins` and the golden smoke rows: the three policies in
+//! canonical order, each conserving its tenants with a drained queue.
+//!
 //! Usage:
 //!
 //! ```text
@@ -32,223 +36,102 @@
 //! cargo run --release -p ironhide-bench --bin tenancy -- --out path.json
 //! ```
 
-use std::time::Instant;
-
 use ironhide_attacks::window::WindowAttack;
-use ironhide_bench::{available_parallelism, peak_rss_bytes};
+use ironhide_bench::storm::{run_storm, StormParams, StormResult};
+use ironhide_bench::{
+    available_parallelism, check_pin, fail, parse_args, peak_rss_bytes, pins, tenancy_grid,
+    thread_identity, write_report, HarnessArgs, TENANCY_SEED,
+};
 use ironhide_core::arch::Architecture;
 use ironhide_core::attack::{AttackOutcome, ChannelVerdict};
-use ironhide_core::cluster::{ClusterManager, PurgeOrder};
+use ironhide_core::cluster::PurgeOrder;
 use ironhide_core::sweep::SweepRunner;
-use ironhide_core::tenancy::{AdmissionPolicy, LoadPoint, StormConfig, TenancyGrid, TenancyMatrix};
-use ironhide_mesh::{ClusterId, NodeId};
+use ironhide_core::tenancy::{AdmissionPolicy, TenancyMatrix};
 use ironhide_sim::config::MachineConfig;
-use ironhide_sim::machine::Machine;
-use ironhide_sim::process::{ProcessId, SecurityClass};
-use ironhide_workloads::{tenant_profiles, AppId};
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
 
-/// Master seed of the tenancy sweep (arbitrary but fixed forever: changing
-/// it would make the SLO checksums incomparable across PRs).
-const MASTER_SEED: u64 = 11;
+const HARNESS: &str = "tenancy";
 
 /// Seed of the window-channel verdict rows (matches the module tests).
 const WINDOW_SEED: u64 = 7;
 
-/// Master seed of the embedded BENCH_7 storm replay (must stay the churn
-/// bench's seed so the replayed checksum is the pinned value).
-const STORM_SEED: u64 = 7;
-
-/// The pinned BENCH_7 smoke-storm stall-cycle checksum. The tenancy numbers
-/// are only reported if the replay still reproduces it byte-for-byte.
-const STORM_STALL_CHECKSUM: u64 = 2778250;
-
-/// Secure-cluster shapes of the storm replay (the churn bench's).
-const SHAPES: [usize; 6] = [8, 16, 24, 32, 40, 56];
-
-/// Thread counts the tenancy matrix must be byte-identical across.
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-
 fn main() {
-    let mut smoke = false;
-    let mut out_path = String::from("BENCH_8.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => {
-                out_path = args.next().unwrap_or_else(|| {
-                    eprintln!("--out requires a path");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: tenancy [--smoke] [--out <path>]");
-                std::process::exit(2);
-            }
-        }
+    let args = parse_args(HARNESS, "BENCH_8.json", false);
+    let tenancy = run(&args);
+    if args.smoke {
+        smoke_gate(&tenancy.matrix);
     }
+    write_report(HARNESS, &args.out, &render_report(&args, &tenancy));
+}
 
-    let label = if smoke { "smoke" } else { "full" };
-    let grid = tenancy_grid(smoke);
+/// Everything the report renders.
+struct Tenancy {
+    matrix: TenancyMatrix,
+    sweep_walls: Vec<(usize, f64)>,
+    storm: StormResult,
+    verdicts: Vec<(ChannelVerdict, AttackOutcome)>,
+}
+
+/// Sweeps the grid and runs the three gates; exits non-zero on the first
+/// failed gate.
+fn run(args: &HarnessArgs) -> Tenancy {
+    let (grid, label) = (tenancy_grid(args.smoke), args.label());
 
     // Gate 1: the matrix must serialise byte-identically at every thread
-    // count. The single-threaded pass is the canonical one reported.
-    eprintln!(
-        "tenancy: running {label} grid ({} cells) at {THREAD_COUNTS:?} threads...",
-        grid.len()
-    );
-    let mut canonical: Option<(TenancyMatrix, String)> = None;
-    let mut sweep_walls = Vec::with_capacity(THREAD_COUNTS.len());
-    for threads in THREAD_COUNTS {
+    // count. The first pass is the canonical one reported.
+    eprintln!("tenancy: running {label} grid ({} cells) at {:?}...", grid.len(), args.threads);
+    let (matrix, sweep_walls) = thread_identity(&args.threads, |threads| {
         let runner = SweepRunner::new(MachineConfig::paper_default())
             .with_threads(threads)
-            .with_seed(MASTER_SEED);
-        let start = Instant::now();
-        let matrix = runner.run_tenancy(&grid).unwrap_or_else(|e| {
-            eprintln!("tenancy: sweep failed: {e}");
-            std::process::exit(1);
-        });
-        sweep_walls.push((threads, start.elapsed().as_secs_f64()));
+            .with_seed(TENANCY_SEED);
+        let matrix = runner
+            .run_tenancy(&grid)
+            .unwrap_or_else(|e| fail(HARNESS, &format!("sweep failed: {e}")));
         let json = matrix.to_json();
-        match &canonical {
-            None => canonical = Some((matrix, json)),
-            Some((_, reference)) => {
-                if *reference != json {
-                    eprintln!("tenancy: DIVERGENCE — matrix at {threads} threads differs from 1");
-                    std::process::exit(1);
-                }
-            }
-        }
-    }
-    let (matrix, _) = canonical.expect("at least one thread count ran");
+        (matrix, json)
+    })
+    .unwrap_or_else(|n| fail(HARNESS, &format!("NONDETERMINISM — the {n}-thread matrix differs")));
 
     // Gate 2: replay the BENCH_7 smoke storm and pin its stall checksum.
     eprintln!("tenancy: replaying the BENCH_7 smoke storm...");
-    let (storm_checksum, storm_wall_s, storm_reconfigs) = replay_storm();
-    if storm_checksum != STORM_STALL_CHECKSUM {
-        eprintln!(
-            "tenancy: DIVERGENCE — storm stall checksum {storm_checksum} != pinned {STORM_STALL_CHECKSUM}"
-        );
-        std::process::exit(1);
-    }
+    let storm = run_storm(&StormParams::new(true), false);
+    check_pin(HARNESS, "replayed storm stall checksum", storm.stall_checksum, pins::STORM_SMOKE);
 
     // Gate 3: the reconfiguration-window verdict rows.
     eprintln!("tenancy: judging the reconfiguration-window channel...");
     let verdicts = window_verdicts();
     for (expected, outcome) in &verdicts {
-        if outcome.verdict != *expected {
-            eprintln!(
-                "tenancy: WINDOW VERDICT FAILURE — {} under {} judged {} (BER {}), expected {expected}",
-                outcome.channel, outcome.arch, outcome.verdict, outcome.ber
-            );
-            std::process::exit(1);
+        let row = format!("{} under {}", outcome.channel, outcome.arch);
+        let (verdict, ber) = (outcome.verdict, outcome.ber);
+        if verdict != *expected {
+            let judged = format!("judged {verdict} (BER {ber}), expected {expected}");
+            fail(HARNESS, &format!("WINDOW VERDICT FAILURE — {row} {judged}"));
         }
-        if outcome.verdict == ChannelVerdict::Closed && !outcome.isolation.is_clean() {
-            eprintln!(
-                "tenancy: WINDOW AUDIT FAILURE — {} under {} closed but dirty: {:?}",
-                outcome.channel, outcome.arch, outcome.isolation.violations
-            );
-            std::process::exit(1);
+        if verdict == ChannelVerdict::Closed && !outcome.isolation.is_clean() {
+            let dirt = &outcome.isolation.violations;
+            fail(HARNESS, &format!("WINDOW AUDIT FAILURE — {row} closed but dirty: {dirt:?}"));
         }
     }
-
-    let report =
-        render_report(label, &matrix, &sweep_walls, storm_wall_s, storm_reconfigs, &verdicts);
-    std::fs::write(&out_path, &report).unwrap_or_else(|e| {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    });
-    eprintln!("tenancy: wrote {out_path}");
-    println!("{report}");
+    Tenancy { matrix, sweep_walls, storm, verdicts }
 }
 
-/// The {policy × load} grid: every admission policy against loads whose
-/// tenant classes come from the paper's nine applications.
-fn tenancy_grid(smoke: bool) -> TenancyGrid {
-    let profiles = tenant_profiles(&AppId::ALL);
-    let load = |label: &str, tenants: usize, interarrival: u64| {
-        LoadPoint::new(
-            label,
-            StormConfig {
-                tenants,
-                mean_interarrival_cycles: interarrival,
-                mean_service_scale: 1,
-                host_reserve_cores: 8,
-                profiles: profiles.clone(),
-            },
-        )
-    };
-    let mut grid = TenancyGrid::new();
-    for policy in AdmissionPolicy::ALL {
-        grid = grid.with_policy(policy);
+/// The smoke pin and golden rows: three policies in canonical order, each
+/// conserving its tenants with a drained queue.
+fn smoke_gate(matrix: &TenancyMatrix) {
+    check_pin(HARNESS, "tenancy checksum", matrix.checksum(), pins::TENANCY_SMOKE);
+    let policies: Vec<AdmissionPolicy> = matrix.cells.iter().map(|c| c.key.policy).collect();
+    if policies != AdmissionPolicy::ALL {
+        fail(HARNESS, &format!("smoke grid is 3 policies x 1 load, got {policies:?}"));
     }
-    if smoke {
-        grid = grid.with_load(load("Smoke", 40, 30_000));
-    } else {
-        // Calm: arrivals mostly drain before the next tenant lands.
-        // Storm: heavy overlap — admission control decides the tails.
-        grid = grid.with_load(load("Calm", 120, 60_000));
-        grid = grid.with_load(load("Storm", 240, 12_000));
-    }
-    grid
-}
-
-/// Replays the churn bench's smoke storm (batched path) and returns its
-/// stall checksum plus throughput, pinning the tenancy run to a simulator
-/// with byte-unchanged reconfiguration semantics.
-fn replay_storm() -> (u64, f64, u64) {
-    const RECONFIGS: u64 = 40;
-    const WARM_PAGES: u64 = 64;
-    let mut machine = Machine::new(MachineConfig::paper_default());
-    machine.set_reconfig_reference(false);
-    let secure = machine.create_process("tenant-secure", SecurityClass::Secure);
-    let insecure = machine.create_process("tenant-insecure", SecurityClass::Insecure);
-    let (mut manager, _) =
-        ClusterManager::form(&mut machine, secure, insecure, SHAPES[3]).expect("initial clusters");
-    warm(&mut machine, &manager, secure, insecure, 0, WARM_PAGES);
-
-    let mut rng = StdRng::seed_from_u64(STORM_SEED);
-    let mut current = SHAPES[3];
-    let mut stall_checksum = 0u64;
-    let mut stalled = std::time::Duration::ZERO;
-    for i in 0..RECONFIGS {
-        let idx = (rng.next_u64() % SHAPES.len() as u64) as usize;
-        let mut target = SHAPES[idx];
-        if target == current {
-            target = SHAPES[(idx + 1) % SHAPES.len()];
+    for cell in &matrix.cells {
+        let (r, policy) = (&cell.report, cell.key.policy);
+        let conserved = r.admitted + r.denied + r.queued;
+        if conserved != r.arrived {
+            let arrived = r.arrived;
+            fail(HARNESS, &format!("{policy}: conservation violated ({conserved} != {arrived})"));
         }
-        let start = Instant::now();
-        let cycles =
-            manager.reconfigure(&mut machine, secure, insecure, target).expect("valid storm shape");
-        stalled += start.elapsed();
-        stall_checksum = stall_checksum.wrapping_add(cycles);
-        current = target;
-        warm(&mut machine, &manager, secure, insecure, (i + 1) * WARM_PAGES / 4, WARM_PAGES);
-    }
-    (stall_checksum, stalled.as_secs_f64(), RECONFIGS)
-}
-
-/// The churn bench's open-loop warm-up between reconfigurations.
-fn warm(
-    machine: &mut Machine,
-    manager: &ClusterManager,
-    secure: ProcessId,
-    insecure: ProcessId,
-    base: u64,
-    pages: u64,
-) {
-    let secure_cores: Vec<NodeId> = manager.cores_iter(ClusterId::Secure).collect();
-    let insecure_cores: Vec<NodeId> = manager.cores_iter(ClusterId::Insecure).collect();
-    for p in base..base + pages {
-        let vaddr = p * 4096;
-        let sc = secure_cores[p as usize % secure_cores.len()];
-        let ic = insecure_cores[p as usize % insecure_cores.len()];
-        machine.access(sc, secure, vaddr, p % 3 == 0);
-        machine.access(ic, insecure, vaddr, p % 3 == 1);
-        machine.access(secure_cores[(p as usize + 1) % secure_cores.len()], secure, vaddr, false);
+        if r.queued != 0 {
+            fail(HARNESS, &format!("{policy}: queue did not drain"));
+        }
     }
 }
 
@@ -259,10 +142,9 @@ fn window_verdicts() -> Vec<(ChannelVerdict, AttackOutcome)> {
     let shipped = WindowAttack::new(config.clone(), PurgeOrder::PurgeThenRehome);
     let misordered = WindowAttack::new(config, PurgeOrder::RehomeThenPurge);
     let run = |attack: &WindowAttack, arch| {
-        attack.assess(arch, WINDOW_SEED).unwrap_or_else(|e| {
-            eprintln!("tenancy: window attack failed: {e}");
-            std::process::exit(1);
-        })
+        attack
+            .assess(arch, WINDOW_SEED)
+            .unwrap_or_else(|e| fail(HARNESS, &format!("window attack failed: {e}")))
     };
     vec![
         (ChannelVerdict::Open, run(&shipped, Architecture::Insecure)),
@@ -274,21 +156,15 @@ fn window_verdicts() -> Vec<(ChannelVerdict, AttackOutcome)> {
 
 /// Renders the measurement as deterministic-layout JSON (timing fields vary
 /// run to run; everything else, including every checksum, must not).
-fn render_report(
-    grid_label: &str,
-    matrix: &TenancyMatrix,
-    sweep_walls: &[(usize, f64)],
-    storm_wall_s: f64,
-    storm_reconfigs: u64,
-    verdicts: &[(ChannelVerdict, AttackOutcome)],
-) -> String {
+fn render_report(args: &HarnessArgs, tenancy: &Tenancy) -> String {
+    let Tenancy { matrix, sweep_walls, storm, verdicts } = tenancy;
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"benchmark\": \"tenant_churn\",\n");
-    out.push_str(&format!("  \"grid\": \"{grid_label}\",\n"));
-    out.push_str(&format!("  \"master_seed\": {MASTER_SEED},\n"));
+    out.push_str(&format!("  \"grid\": \"{}\",\n", args.label()));
+    out.push_str(&format!("  \"master_seed\": {TENANCY_SEED},\n"));
     out.push_str(&format!("  \"tenancy_checksum\": {},\n", matrix.checksum()));
-    out.push_str(&format!("  \"thread_counts_identical\": {THREAD_COUNTS:?},\n"));
+    out.push_str(&format!("  \"thread_counts_identical\": {:?},\n", args.threads));
 
     out.push_str("  \"cells\": [\n");
     for (i, cell) in matrix.cells.iter().enumerate() {
@@ -336,11 +212,8 @@ fn render_report(
     out.push_str("  ],\n");
 
     out.push_str("  \"storm_replay\": {\n");
-    out.push_str(&format!("    \"stall_cycle_checksum\": {STORM_STALL_CHECKSUM},\n"));
-    out.push_str(&format!(
-        "    \"reconfigs_per_sec\": {}\n",
-        if storm_wall_s > 0.0 { (storm_reconfigs as f64 / storm_wall_s).round() as u64 } else { 0 }
-    ));
+    out.push_str(&format!("    \"stall_cycle_checksum\": {},\n", storm.stall_checksum));
+    out.push_str(&format!("    \"reconfigs_per_sec\": {}\n", storm.rate));
     out.push_str("  },\n");
 
     out.push_str("  \"sweep_wall_seconds\": {\n");
@@ -353,4 +226,61 @@ fn render_report(
     out.push_str(&format!("  \"available_parallelism\": {}\n", available_parallelism()));
     out.push_str("}\n");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ironhide_bench::THREAD_COUNTS;
+
+    #[test]
+    fn smoke_report_carries_every_field() {
+        let args = HarnessArgs { smoke: true, out: String::new(), threads: THREAD_COUNTS.to_vec() };
+        let tenancy = run(&args);
+        smoke_gate(&tenancy.matrix);
+        let report = render_report(&args, &tenancy);
+        for field in [
+            "benchmark",
+            "grid",
+            "master_seed",
+            "tenancy_checksum",
+            "thread_counts_identical",
+            "cells",
+            "window_channel",
+            "storm_replay",
+            "sweep_wall_seconds",
+            "peak_rss_bytes",
+            "available_parallelism",
+        ] {
+            assert!(report.contains(&format!("\n  \"{field}\": ")), "missing field: {field}");
+        }
+        assert!(report.contains("\n  \"grid\": \"smoke\","));
+        assert!(report.contains("\n  \"thread_counts_identical\": [1, 2, 8],"));
+        for field in [
+            "policy",
+            "load",
+            "arrived",
+            "admitted",
+            "denied",
+            "queued",
+            "completion_p50_cycles",
+            "completion_p99_cycles",
+            "completion_p999_cycles",
+            "stall_p99_cycles",
+            "stall_max_cycles",
+            "reconfigurations",
+            "slo_checksum",
+        ] {
+            assert_eq!(report.matches(&format!("\"{field}\": ")).count(), 3, "cell field {field}");
+        }
+        for (channel, arch) in [
+            ("reconfig-window", "Insecure"),
+            ("reconfig-window", "MI6"),
+            ("reconfig-window", "IRONHIDE"),
+            ("reconfig-window-misordered", "IRONHIDE"),
+        ] {
+            let row = format!("{{\"channel\": \"{channel}\", \"arch\": \"{arch}\",");
+            assert!(report.contains(&row), "missing window row {channel}/{arch}");
+        }
+    }
 }

@@ -18,67 +18,46 @@
 //! * `micro_primitives` — Criterion microbenchmarks of the purge and IPC
 //!   primitives backing the per-event costs quoted in Section V.
 //!
-//! This library crate holds the shared sweep/reporting helpers.
+//! The five bench binaries (`baseline`, `churn`, `tenancy`, `faults`,
+//! `ablation`) each sweep one fixed grid and write a JSON report. This
+//! library holds everything they share: the command line and the
+//! thread-identity gate ([`parse_args`], [`thread_identity`],
+//! [`write_report`], [`fail`]), each harness's grid and master seed, the
+//! reconfiguration [`storm`], and the [`pins`] every `--smoke` run checks
+//! itself against. The figure benches share [`paper_sweep`] and the table
+//! printers.
 
-use ironhide_core::arch::{ArchParams, Architecture};
+mod grids;
+mod harness;
+pub mod pins;
+pub mod storm;
+
+pub use grids::{
+    ablation_grid, baseline_grid, fault_grid, run_baseline, simulated_cycles, storm_config,
+    tenancy_grid, ABLATION_SEED, BASELINE_SEED, FAULTS_SEED, TENANCY_SEED,
+};
+pub use harness::{
+    check_floor, check_pin, fail, parse_args, thread_identity, write_report, HarnessArgs,
+    THREAD_COUNTS,
+};
+
+use ironhide_core::arch::Architecture;
 use ironhide_core::realloc::ReallocPolicy;
-use ironhide_core::runner::{CompletionReport, ExperimentRunner};
+use ironhide_core::sweep::{SweepMatrix, SweepRunner};
 use ironhide_sim::config::MachineConfig;
-use ironhide_workloads::app::{AppId, ScaleFactor};
+use ironhide_workloads::app::{sweep_grid, AppId, ScaleFactor};
 
 // The single definition lives in the sweep harness; re-exported here so the
 // figure benches keep their historical `ironhide_bench::geometric_mean` path.
 pub use ironhide_core::sweep::geometric_mean;
 
-/// The experiment sweep configuration shared by the figure benches.
-#[derive(Debug, Clone)]
-pub struct Sweep {
-    /// Machine to simulate.
-    pub machine: MachineConfig,
-    /// Architecture parameters.
-    pub params: ArchParams,
-    /// Application scale.
-    pub scale: ScaleFactor,
-}
-
-impl Default for Sweep {
-    fn default() -> Self {
-        Sweep {
-            machine: MachineConfig::paper_default(),
-            params: ArchParams::default(),
-            scale: ScaleFactor::Paper,
-        }
-    }
-}
-
-impl Sweep {
-    /// A fast sweep for smoke-testing the harness.
-    pub fn smoke() -> Self {
-        Sweep { scale: ScaleFactor::Smoke, ..Sweep::default() }
-    }
-
-    /// Runs one application under one architecture with the given
-    /// re-allocation policy.
-    pub fn run_one(
-        &self,
-        app: AppId,
-        arch: Architecture,
-        policy: ReallocPolicy,
-    ) -> CompletionReport {
-        let runner = ExperimentRunner::new(self.machine.clone())
-            .with_params(self.params)
-            .with_realloc(policy);
-        let mut instance = app.instantiate(&self.scale);
-        runner
-            .run(arch, instance.as_mut())
-            .unwrap_or_else(|e| panic!("{} under {arch} failed: {e}", app.label()))
-    }
-
-    /// Runs every application under `arch`, returning reports in
-    /// [`AppId::ALL`] order.
-    pub fn run_all(&self, arch: Architecture, policy: ReallocPolicy) -> Vec<CompletionReport> {
-        AppId::ALL.iter().map(|app| self.run_one(*app, arch, policy)).collect()
-    }
+/// Runs every application under each of `archs` × `policies` at Paper scale
+/// on the paper-default machine — the sweep behind the figure benches.
+pub fn paper_sweep(archs: &[Architecture], policies: &[ReallocPolicy]) -> SweepMatrix {
+    let grid = sweep_grid(&AppId::ALL, archs, policies, &[ScaleFactor::Paper]);
+    SweepRunner::new(MachineConfig::paper_default())
+        .run(&grid)
+        .unwrap_or_else(|e| panic!("figure sweep failed: {e}"))
 }
 
 /// Prints a markdown-style table row.
@@ -125,10 +104,28 @@ mod tests {
 
     #[test]
     fn smoke_sweep_runs_one_app() {
-        let sweep = Sweep::smoke();
-        let report =
-            sweep.run_one(AppId::QueryAes, Architecture::SgxLike, ReallocPolicy::Heuristic);
+        let grid = sweep_grid(
+            &[AppId::QueryAes],
+            &[Architecture::SgxLike],
+            &[ReallocPolicy::Heuristic],
+            &[ScaleFactor::Smoke],
+        );
+        let matrix =
+            SweepRunner::new(MachineConfig::paper_default()).run(&grid).expect("cell runs");
+        let report = &matrix.cells[0].report;
         assert!(report.total_cycles > 0);
         assert!(report.isolation.is_clean());
+    }
+
+    #[test]
+    fn smoke_baseline_grid_reproduces_its_pin() {
+        let matrix = run_baseline(true, 1).expect("smoke baseline runs");
+        assert_eq!(simulated_cycles(&matrix), pins::BASELINE_SMOKE);
+    }
+
+    #[test]
+    fn smoke_storm_reproduces_its_pin() {
+        let result = storm::run_storm(&storm::StormParams::new(true), false);
+        assert_eq!(result.stall_checksum, pins::STORM_SMOKE);
     }
 }

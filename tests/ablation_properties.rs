@@ -1,20 +1,14 @@
 //! Property tests of the temporal-fence defence ablation: flush-subset
 //! monotonicity (in both charged cost and channel verdict), thread-count
 //! byte-identity of the ablation matrix, and the cross-process pin that ties
-//! the facade's view of the smoke grid to the `ablation` bench binary's.
+//! the facade's view of the smoke grid to the `ablation` bench binary's. The
+//! grid, seed and pin are the binary's own, read from `ironhide_bench`; a
+//! model change that moves the checksum updates `ironhide_bench::pins` and
+//! nothing here.
 
 use ironhide::prelude::*;
+use ironhide_bench::{ablation_grid, pins, ABLATION_SEED};
 use proptest::prelude::*;
-
-/// The `ablation` binary's master seed; the cross-process pin below only
-/// holds against the grid that binary actually sweeps.
-const BENCH_MASTER_SEED: u64 = 0xAB1A_7104;
-
-/// The smoke ablation checksum the `ablation --smoke` binary reports (and CI
-/// pins). Recomputing it here, in a different process from a different
-/// crate, proves the ablation matrix is a pure function of (seed, grid) —
-/// not of process layout, ASLR, linkage order or thread scheduling.
-const BENCH_SMOKE_CHECKSUM: u64 = 1172886106034387684;
 
 /// Builds a flush subset from the low 6 bits of `bits`, one per resource in
 /// canonical order — the whole 64-element subset lattice is reachable.
@@ -48,9 +42,13 @@ fn run_subsets(
         .expect("ablation sweep runs")
 }
 
-/// The `ablation --smoke` grid, replicated field for field.
+/// The `ablation --smoke` matrix at `threads` workers.
 fn bench_smoke_matrix(threads: usize) -> AblationMatrix {
-    run_subsets(smoke_subsets(), ablation_channels(), BENCH_MASTER_SEED, threads)
+    SweepRunner::new(MachineConfig::attack_testbench())
+        .with_seed(ABLATION_SEED)
+        .with_threads(threads)
+        .run_ablation(&ablation_grid(true))
+        .expect("ablation sweep runs")
 }
 
 /// Recovers the flush set a matrix row ran with from its subset label (the
@@ -154,17 +152,19 @@ fn ablation_matrix_is_byte_identical_across_thread_counts() {
     }
 }
 
-/// Recomputes the `ablation --smoke` checksum from this test process. If
-/// this moves, either the fence/flush semantics changed (update the bench
-/// and CI pins too, with a changelog entry) or the matrix silently depends
-/// on ambient process state (a determinism bug).
+/// Recomputes the `ablation --smoke` checksum in this test process, a
+/// different process from a different crate: it proves the ablation matrix
+/// is a pure function of (seed, grid) — not of process layout, ASLR, linkage
+/// order or thread scheduling. If this moves, either the fence/flush
+/// semantics changed (update `ironhide_bench::pins`, with a changelog entry)
+/// or the matrix silently depends on ambient process state (a determinism
+/// bug).
 #[test]
 fn ablation_checksum_matches_the_bench_binary_pin() {
-    let matrix = bench_smoke_matrix(2);
     assert_eq!(
-        matrix.checksum(),
-        BENCH_SMOKE_CHECKSUM,
-        "smoke ablation checksum moved — bench/CI pins must move with it"
+        bench_smoke_matrix(2).checksum(),
+        pins::ABLATION_SMOKE,
+        "smoke ablation checksum moved"
     );
 }
 

@@ -1,47 +1,18 @@
 //! Determinism, conservation and recovery properties of the fault-injection
 //! campaign, plus the cross-process pin that ties the facade's view of the
-//! fault grid to the `faults` bench binary's.
+//! fault grid to the `faults` bench binary's. The grid, seed and pin are the
+//! binary's own, read from `ironhide_bench`; a model change that moves the
+//! checksum updates `ironhide_bench::pins` and nothing here.
 
 use ironhide::prelude::*;
+use ironhide_bench::{fault_grid, pins, storm_config, FAULTS_SEED};
 use proptest::prelude::*;
 
-/// The `faults` binary's master seed; the cross-process pin below only holds
-/// against the grid that binary actually sweeps.
-const BENCH_MASTER_SEED: u64 = 11;
-
-/// The smoke campaign checksum the `faults --smoke` binary reports (and CI
-/// pins). Recomputing it here, in a different process from a different
-/// crate, proves the fault matrix is a pure function of (seed, grid) — not
-/// of process layout, ASLR, linkage order or thread scheduling.
-const BENCH_SMOKE_CHECKSUM: u64 = 12360661825985589235;
-
-/// The `faults` binary's smoke campaign, replicated field for field.
-fn bench_smoke_grid() -> FaultGrid {
-    let storm = StormConfig {
-        tenants: 40,
-        mean_interarrival_cycles: 30_000,
-        mean_service_scale: 1,
-        host_reserve_cores: 8,
-        profiles: tenant_profiles(&AppId::ALL),
-    };
-    let mut grid = FaultGrid::new(storm, AdmissionPolicy::Queue);
-    for kind in FaultKind::ALL {
-        grid = grid.with_kind(kind);
-    }
-    for rate in [0u32, 200] {
-        grid = grid.with_rate(rate);
-    }
-    for arch in FaultArch::ALL {
-        grid = grid.with_arch(arch);
-    }
-    grid
-}
-
-fn run(seed: u64, threads: usize) -> FaultMatrix {
+fn run(threads: usize) -> FaultMatrix {
     SweepRunner::new(MachineConfig::paper_default())
-        .with_seed(seed)
+        .with_seed(FAULTS_SEED)
         .with_threads(threads)
-        .run_faults(&bench_smoke_grid())
+        .run_faults(&fault_grid(true))
         .expect("fault sweep runs")
 }
 
@@ -50,32 +21,30 @@ fn run(seed: u64, threads: usize) -> FaultMatrix {
 /// carry, now under injected failure.
 #[test]
 fn fault_matrix_is_byte_identical_across_thread_counts() {
-    let baseline = run(BENCH_MASTER_SEED, 1).to_json();
+    let baseline = run(1).to_json();
     for threads in [2usize, 8] {
-        let json = run(BENCH_MASTER_SEED, threads).to_json();
+        let json = run(threads).to_json();
         assert_eq!(baseline, json, "thread count {threads} changed the fault matrix");
     }
 }
 
-/// Recomputes the `faults --smoke` campaign checksum from this test process.
-/// If this moves, either the fault/storm semantics changed (update the bench
-/// pin too, with a changelog entry) or the matrix silently depends on
-/// ambient process state (a determinism bug).
+/// Recomputes the `faults --smoke` campaign checksum in this test process, a
+/// different process from a different crate: it proves the fault matrix is a
+/// pure function of (seed, grid) — not of process layout, ASLR, linkage
+/// order or thread scheduling. If this moves, either the fault/storm
+/// semantics changed (update `ironhide_bench::pins`, with a changelog entry)
+/// or the matrix silently depends on ambient process state (a determinism
+/// bug).
 #[test]
 fn fault_checksum_matches_the_bench_binary_pin() {
-    let matrix = run(BENCH_MASTER_SEED, 2);
-    assert_eq!(
-        matrix.checksum(),
-        BENCH_SMOKE_CHECKSUM,
-        "fault smoke campaign checksum moved — bench/CI pins must move with it"
-    );
+    assert_eq!(run(2).checksum(), pins::FAULTS_SMOKE, "fault smoke campaign checksum moved");
 }
 
 /// Every cell of the pinned campaign conserves tenants and, when audited,
 /// discharges its recovery obligation completely.
 #[test]
 fn pinned_campaign_conserves_and_recovers() {
-    let matrix = run(BENCH_MASTER_SEED, 4);
+    let matrix = run(4);
     for cell in &matrix.cells {
         let r = &cell.report;
         assert!(r.conserves_tenants(), "cell [{}] lost tenants", cell.key);
@@ -125,14 +94,7 @@ proptest! {
     /// derived from the cell key, so scheduling order can never leak in.
     #[test]
     fn fault_campaigns_are_thread_invariant_for_any_seed(seed in 0u64..1_000_000) {
-        let storm = StormConfig {
-            tenants: 16,
-            mean_interarrival_cycles: 30_000,
-            mean_service_scale: 1,
-            host_reserve_cores: 8,
-            profiles: tenant_profiles(&AppId::ALL),
-        };
-        let grid = FaultGrid::new(storm, AdmissionPolicy::Queue)
+        let grid = FaultGrid::new(storm_config(16, 30_000), AdmissionPolicy::Queue)
             .with_kind(FaultKind::TileFailure)
             .with_kind(FaultKind::DroppedScrub)
             .with_rate(250)
