@@ -96,28 +96,23 @@ fn differential_security_claim_holds_at_any_thread_count() {
 
 #[test]
 fn attack_matrix_matches_golden() {
-    let rendered = smoke_matrix(0).to_json();
-    let path =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/attack_matrix_smoke.json");
+    check_golden("attack_matrix_smoke.json", &smoke_matrix(0).to_json());
+}
 
-    if std::env::var_os("IRONHIDE_REGEN_GOLDEN").is_some() {
-        fs::create_dir_all(path.parent().unwrap()).expect("create tests/golden");
-        fs::write(&path, &rendered).expect("write golden attack matrix");
-        return;
-    }
-    let expected = fs::read_to_string(&path).unwrap_or_else(|_| {
-        panic!(
-            "missing golden file {}; generate it with IRONHIDE_REGEN_GOLDEN=1 cargo test --test attack_suite",
-            path.display()
-        )
-    });
-    assert_eq!(
-        rendered,
-        expected,
-        "attack-matrix verdicts/counters drifted from {} (regenerate with \
-         IRONHIDE_REGEN_GOLDEN=1 if the model change is intentional)",
-        path.display()
-    );
+/// The reconfiguration-window attack under the shipped and the injected
+/// purge ordering, across the four paper architectures at the smoke scale.
+#[test]
+fn window_matrix_matches_golden() {
+    let grid = AttackGrid::new()
+        .with_architectures(&Architecture::ALL)
+        .with_channel(window_attack_spec(PurgeOrder::PurgeThenRehome))
+        .with_channel(window_attack_spec(PurgeOrder::RehomeThenPurge))
+        .with_scale(ScalePoint::new("Smoke"));
+    let matrix = SweepRunner::new(MachineConfig::attack_testbench())
+        .with_seed(MASTER_SEED)
+        .run_attacks(&grid)
+        .expect("window matrix runs");
+    check_golden("window_matrix_smoke.json", &matrix.to_json());
 }
 
 /// The temporal-fence ablation ladder (13 flush subsets × all six channels)
@@ -176,13 +171,16 @@ fn each_channel_has_a_minimal_closing_subset_cheaper_than_simf() {
 
 #[test]
 fn ablation_matrix_matches_golden() {
-    let rendered = ablation_ladder(0).to_json();
-    let path =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/ablation_matrix_smoke.json");
+    check_golden("ablation_matrix_smoke.json", &ablation_ladder(0).to_json());
+}
 
+/// Compares `rendered` byte for byte against `tests/golden/<name>`, or
+/// rewrites that file when `IRONHIDE_REGEN_GOLDEN` is set.
+fn check_golden(name: &str, rendered: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name);
     if std::env::var_os("IRONHIDE_REGEN_GOLDEN").is_some() {
         fs::create_dir_all(path.parent().unwrap()).expect("create tests/golden");
-        fs::write(&path, &rendered).expect("write golden ablation matrix");
+        fs::write(&path, rendered).expect("write golden file");
         return;
     }
     let expected = fs::read_to_string(&path).unwrap_or_else(|_| {
@@ -194,8 +192,8 @@ fn ablation_matrix_matches_golden() {
     assert_eq!(
         rendered,
         expected,
-        "ablation-matrix verdicts/costs drifted from {} (regenerate with \
-         IRONHIDE_REGEN_GOLDEN=1 if the model change is intentional)",
+        "verdicts/counters drifted from {} (regenerate with IRONHIDE_REGEN_GOLDEN=1 if the \
+         model change is intentional)",
         path.display()
     );
 }

@@ -37,16 +37,25 @@ fn arch_slug(arch: Architecture) -> &'static str {
 fn query_aes_smoke_counters_match_golden() {
     // Default ArchParams and the paper machine: the exact configuration is
     // part of the snapshot contract, so do not override anything here.
-    let grid = sweep_grid(
+    let paper = sweep_grid(
         &[AppId::QueryAes],
         &Architecture::ALL,
         &[ReallocPolicy::Static],
         &[ScaleFactor::Smoke],
     );
-    let matrix = SweepRunner::new(MachineConfig::paper_default())
-        .with_seed(0)
-        .run(&grid)
-        .expect("golden sweep runs");
+    // The temporal fence runs on the same machine with the SIMF flush set,
+    // pinning its boundary crossing on the performance path.
+    let fence = sweep_grid(
+        &[AppId::QueryAes],
+        &[Architecture::TemporalFence],
+        &[ReallocPolicy::Static],
+        &[ScaleFactor::Smoke],
+    );
+    let fence_config = MachineConfig {
+        temporal_fence: TemporalFenceConfig::simf(),
+        ..MachineConfig::paper_default()
+    };
+    let runs = [(MachineConfig::paper_default(), paper), (fence_config, fence)];
 
     let regen = std::env::var_os("IRONHIDE_REGEN_GOLDEN").is_some();
     if regen {
@@ -54,31 +63,33 @@ fn query_aes_smoke_counters_match_golden() {
     }
 
     let mut mismatches = Vec::new();
-    for arch in Architecture::ALL {
-        let cell = matrix
-            .get(AppId::QueryAes.label(), arch, ReallocPolicy::Static, "Smoke")
-            .expect("cell present");
-        let mut rendered = String::new();
-        report_json(&mut rendered, &cell.report);
-        rendered.push('\n');
+    for (config, grid) in &runs {
+        let matrix =
+            SweepRunner::new(config.clone()).with_seed(0).run(grid).expect("golden sweep runs");
+        for cell in &matrix.cells {
+            let arch = cell.key.arch;
+            let mut rendered = String::new();
+            report_json(&mut rendered, &cell.report);
+            rendered.push('\n');
 
-        let path = golden_dir().join(format!("query_aes_smoke_{}.json", arch_slug(arch)));
-        if regen {
-            fs::write(&path, &rendered).expect("write golden file");
-            continue;
-        }
-        let expected = fs::read_to_string(&path).unwrap_or_else(|_| {
-            panic!(
-                "missing golden file {}; generate it with IRONHIDE_REGEN_GOLDEN=1 cargo test --test golden_stats",
-                path.display()
-            )
-        });
-        if rendered != expected {
-            mismatches.push(format!(
-                "{arch}: counters drifted from {} (regenerate with IRONHIDE_REGEN_GOLDEN=1 \
-                 if the model change is intentional)",
-                path.display()
-            ));
+            let path = golden_dir().join(format!("query_aes_smoke_{}.json", arch_slug(arch)));
+            if regen {
+                fs::write(&path, &rendered).expect("write golden file");
+                continue;
+            }
+            let expected = fs::read_to_string(&path).unwrap_or_else(|_| {
+                panic!(
+                    "missing golden file {}; generate it with IRONHIDE_REGEN_GOLDEN=1 cargo test --test golden_stats",
+                    path.display()
+                )
+            });
+            if rendered != expected {
+                mismatches.push(format!(
+                    "{arch}: counters drifted from {} (regenerate with IRONHIDE_REGEN_GOLDEN=1 \
+                     if the model change is intentional)",
+                    path.display()
+                ));
+            }
         }
     }
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
