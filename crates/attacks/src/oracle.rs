@@ -14,7 +14,9 @@
 //! the analytical congestion estimators) are treated as carrying no signal.
 
 use ironhide_core::arch::Architecture;
-use ironhide_core::attack::{AttackOutcome, AttackRunner, ChannelVerdict, CovertChannel};
+use ironhide_core::attack::{
+    AttackOutcome, AttackRunner, AttackTrace, ChannelVerdict, CovertChannel,
+};
 use ironhide_core::runner::RunError;
 use ironhide_core::sweep::{AttackGrid, AttackSpec, ScalePoint};
 use ironhide_sim::config::MachineConfig;
@@ -114,30 +116,45 @@ impl LeakageOracle {
         let (trace, machine) = runner.run_recycled(arch, channel, &bits, slot.take())?;
         *slot = Some(machine);
 
-        let (decoded, threshold) = decode(&trace.probe_cycles, self.noise_floor_cycles);
-        let bit_errors = bits.iter().zip(&decoded).filter(|(sent, got)| sent != got).count() as u64;
-        let ber = bit_errors as f64 / bits.len() as f64;
-        let capacity_bits_per_slot = 1.0 - binary_entropy(ber);
-        let slot_cycles = trace.payload_cycles as f64 / bits.len() as f64;
-        let capacity_bits_per_second =
-            capacity_bits_per_slot * trace.clock_ghz * 1e9 / slot_cycles.max(1.0);
+        Ok(score(channel.name(), arch, &bits, trace, self.noise_floor_cycles))
+    }
+}
 
-        Ok(AttackOutcome {
-            channel: channel.name().to_string(),
-            arch,
-            payload_bits: bits.len() as u64,
-            bit_errors,
-            ber,
-            threshold_cycles: threshold,
-            min_probe_cycles: trace.probe_cycles.iter().copied().min().unwrap_or(0),
-            max_probe_cycles: trace.probe_cycles.iter().copied().max().unwrap_or(0),
-            capacity_bits_per_slot,
-            capacity_bits_per_second,
-            payload_cycles: trace.payload_cycles,
-            secure_cores: trace.secure_cores,
-            verdict: ChannelVerdict::from_ber(ber),
-            isolation: trace.isolation,
-        })
+/// Scores one transmission of `bits` through `channel` under `arch`: decodes
+/// the attacker's per-slot probe latencies in `trace` (spreads within
+/// `noise_floor` cycles carry no signal), counts bit errors, and derives the
+/// BER, binary-symmetric-channel capacity and verdict. Every attack in this
+/// crate reports through here.
+pub(crate) fn score(
+    channel: &str,
+    arch: Architecture,
+    bits: &[bool],
+    trace: AttackTrace,
+    noise_floor: u64,
+) -> AttackOutcome {
+    let (decoded, threshold) = decode(&trace.probe_cycles, noise_floor);
+    let bit_errors = bits.iter().zip(&decoded).filter(|(sent, got)| sent != got).count() as u64;
+    let ber = bit_errors as f64 / bits.len() as f64;
+    let capacity_bits_per_slot = 1.0 - binary_entropy(ber);
+    let slot_cycles = trace.payload_cycles as f64 / bits.len() as f64;
+    let capacity_bits_per_second =
+        capacity_bits_per_slot * trace.clock_ghz * 1e9 / slot_cycles.max(1.0);
+
+    AttackOutcome {
+        channel: channel.to_string(),
+        arch,
+        payload_bits: bits.len() as u64,
+        bit_errors,
+        ber,
+        threshold_cycles: threshold,
+        min_probe_cycles: trace.probe_cycles.iter().copied().min().unwrap_or(0),
+        max_probe_cycles: trace.probe_cycles.iter().copied().max().unwrap_or(0),
+        capacity_bits_per_slot,
+        capacity_bits_per_second,
+        payload_cycles: trace.payload_cycles,
+        secure_cores: trace.secure_cores,
+        verdict: ChannelVerdict::from_ber(ber),
+        isolation: trace.isolation,
     }
 }
 

@@ -27,22 +27,21 @@
 //! instead, giving the usual differential: open on the insecure baseline,
 //! closed under MI6's boundary purges.
 
-use ironhide_cache::SliceId;
+use ironhide_core::app::RefRun;
 use ironhide_core::arch::{ArchParams, Architecture};
-use ironhide_core::attack::{AttackOutcome, ChannelVerdict};
-use ironhide_core::boundary::mi6_boundary_cost;
+use ironhide_core::attack::{AttackOutcome, AttackTrace};
+use ironhide_core::boundary::{bring_up, crossing_cost, Pair};
 use ironhide_core::cluster::{ClusterManager, PurgeOrder};
 use ironhide_core::isolation::IsolationAuditor;
-use ironhide_core::kernel::{AppDomain, SecureKernel};
 use ironhide_core::runner::RunError;
 use ironhide_core::speccheck::SpeculativeAccessCheck;
 use ironhide_core::sweep::AttackSpec;
 use ironhide_mesh::{ClusterId, NodeId};
 use ironhide_sim::config::MachineConfig;
 use ironhide_sim::machine::Machine;
-use ironhide_sim::process::{ProcessId, SecurityClass};
+use ironhide_sim::process::ProcessId;
 
-use crate::oracle::{balanced_bits, binary_entropy, decode, LeakageOracle};
+use crate::oracle::{balanced_bits, score, LeakageOracle};
 
 /// Channel label under the shipped purge ordering.
 pub const SHIPPED_LABEL: &str = "reconfig-window";
@@ -52,10 +51,6 @@ pub const MISORDERED_LABEL: &str = "reconfig-window-misordered";
 pub const AUDITED_DROP_LABEL: &str = "reconfig-window-dropped-purge-audited";
 /// Channel label with dropped purge packets and no audit (negative control).
 pub const UNAUDITED_DROP_LABEL: &str = "reconfig-window-dropped-purge";
-
-/// Signing key of the simulated window-attack victim's author (the kernel
-/// only needs signatures to be verifiable, not secret).
-const AUTHOR_KEY: u64 = 0x0B5E_55ED_C0DE_D00D;
 
 /// Base virtual address of the victim's secret-dependent buffers.
 const VICTIM_BASE: u64 = 0x2000_0000;
@@ -123,8 +118,6 @@ struct SlotCtx {
     wide: usize,
     /// Secure-cluster cores during the measured window.
     narrow: usize,
-    /// Pages of one victim secret burst.
-    victim_pages: u64,
     /// Pages of one attacker evict-and-sweep.
     sweep_pages: u64,
     page_bytes: u64,
@@ -244,55 +237,33 @@ impl WindowAttack {
         slot: &mut Option<Machine>,
     ) -> Result<(AttackOutcome, FaultAudit), RunError> {
         let bits = balanced_bits(seed, self.payload_bits);
-        let mut machine = match slot.take() {
-            Some(mut m) => {
-                m.reset_pristine();
-                m
-            }
-            None => Machine::new(self.config.clone()),
-        };
-        let attacker = machine.create_process("attacker", SecurityClass::Insecure);
-        let victim = machine.create_process("victim", SecurityClass::Secure);
-
-        let mut kernel = SecureKernel::new();
-        let image = format!("victim:{}", self.name()).into_bytes();
-        let signature = SecureKernel::sign(&image, AUTHOR_KEY);
-        kernel.register(victim, &image, signature, AUTHOR_KEY, AppDomain(1))?;
-        kernel.admit(victim, &image)?;
-
         let total = self.config.cores();
         let wide = (total / 2).max(1);
         let narrow = (wide / 2).max(1);
-        let mut manager: Option<ClusterManager> = None;
-        let mut secure_cores = total;
-        let (attacker_core, victim_core, victim_pages, sweep_pages) = match arch {
-            Architecture::Insecure | Architecture::SgxLike | Architecture::TemporalFence => {
-                // Shared everything: the sweep must cover every slice the
-                // victim's buffers can home on. The temporal fence shares
-                // like the insecure baseline; its flush happens per slot.
-                (NodeId(0), NodeId(total - 1), wide as u64, total as u64)
-            }
-            Architecture::Mi6 => {
-                // MI6's static partition, as in the AttackRunner: victim on
-                // the low half of the slices, attacker on the high half.
-                let low: Vec<SliceId> = (0..wide).map(SliceId).collect();
-                let high: Vec<SliceId> = (wide..total).map(SliceId).collect();
-                machine.set_process_slices(victim, &low);
-                machine.set_process_slices(attacker, &high);
-                (NodeId(0), NodeId(total - 1), wide as u64, total as u64)
-            }
-            Architecture::Ironhide => {
-                let (m, _setup) = ClusterManager::form(&mut machine, victim, attacker, wide)?;
-                secure_cores = wide;
-                let vic = m.cores_iter(ClusterId::Secure).next().expect("non-empty cluster");
-                // The last core stays insecure at both the wide and the
-                // narrow shape, so the attacker never has to migrate.
-                let att = m.cores_iter(ClusterId::Insecure).last().expect("non-empty cluster");
-                manager = Some(m);
-                // One burst page per wide secure slice; the sweep covers
-                // every slice the insecure cluster owns at the narrow shape.
-                (att, vic, wide as u64, (total - narrow) as u64)
-            }
+        let image = format!("victim:{}", self.name());
+        let Pair { mut machine, insecure: attacker, secure: victim, cluster: mut manager } =
+            bring_up(
+                slot.take(),
+                &self.config,
+                arch,
+                ("attacker", "victim"),
+                image.as_bytes(),
+                wide,
+            )?;
+        let (attacker_core, victim_core, secure_cores, sweep_pages) = match &manager {
+            // The victim takes the first secure core; the last core stays
+            // insecure at both the wide and the narrow shape, so the
+            // attacker never has to migrate. The sweep covers every slice
+            // the insecure cluster owns at the narrow shape.
+            Some(m) => (
+                m.cores_iter(ClusterId::Insecure).last().expect("non-empty cluster"),
+                m.cores_iter(ClusterId::Secure).next().expect("non-empty cluster"),
+                wide,
+                (total - narrow) as u64,
+            ),
+            // Shared everything: the sweep must cover every slice the
+            // victim's buffers can home on.
+            None => (NodeId(0), NodeId(total - 1), total, total as u64),
         };
 
         // The fault arms only after formation: drops model packets lost
@@ -310,7 +281,6 @@ impl WindowAttack {
             victim_core,
             wide,
             narrow,
-            victim_pages,
             sweep_pages,
             page_bytes: machine.page_bytes(),
             line_bytes: self.config.l2_slice.line_bytes as u64,
@@ -340,12 +310,9 @@ impl WindowAttack {
         let mut audit = FaultAudit::default();
         if self.fault != FaultMode::None {
             if self.fault == FaultMode::DroppedPurgeAudited {
-                let detected =
-                    (machine.dropped_scrub_log().len() + machine.dropped_purge_log().len()) as u64;
-                if detected > 0 {
-                    ctx.dropped_detected += detected;
-                    ctx.dropped_recovered += machine.recover_dropped_scrubs();
-                }
+                let (detected, recovered) = machine.audit_dropped_scrubs();
+                ctx.dropped_detected += detected;
+                ctx.dropped_recovered += recovered;
             }
             audit = FaultAudit {
                 dropped_detected: ctx.dropped_detected,
@@ -358,33 +325,16 @@ impl WindowAttack {
         let isolation = IsolationAuditor::new().audit(&machine, arch, &spec);
         *slot = Some(machine);
 
-        let (decoded, threshold) = decode(&probe_cycles, self.noise_floor_cycles);
-        let bit_errors = bits.iter().zip(&decoded).filter(|(sent, got)| sent != got).count() as u64;
-        let ber = bit_errors as f64 / bits.len() as f64;
-        let capacity_bits_per_slot = 1.0 - binary_entropy(ber);
-        let slot_cycles = payload_cycles as f64 / bits.len() as f64;
-        let capacity_bits_per_second =
-            capacity_bits_per_slot * self.config.clock_ghz * 1e9 / slot_cycles.max(1.0);
-
-        Ok((
-            AttackOutcome {
-                channel: self.name().to_string(),
-                arch,
-                payload_bits: bits.len() as u64,
-                bit_errors,
-                ber,
-                threshold_cycles: threshold,
-                min_probe_cycles: probe_cycles.iter().copied().min().unwrap_or(0),
-                max_probe_cycles: probe_cycles.iter().copied().max().unwrap_or(0),
-                capacity_bits_per_slot,
-                capacity_bits_per_second,
-                payload_cycles,
-                secure_cores,
-                verdict: ChannelVerdict::from_ber(ber),
-                isolation,
-            },
-            audit,
-        ))
+        let trace = AttackTrace {
+            probe_cycles,
+            payload_cycles,
+            clock_ghz: self.config.clock_ghz,
+            attacker_core,
+            victim_core,
+            secure_cores,
+            isolation,
+        };
+        Ok((score(self.name(), arch, &bits, trace, self.noise_floor_cycles), audit))
     }
 
     /// One transmission slot. Returns `(probe_cycles, slot_cycles)` where
@@ -403,22 +353,19 @@ impl WindowAttack {
         // The secret-dependent burst: dirty-write a fresh buffer spread over
         // the victim's current slices. A 0 transmits by staying idle.
         if bit {
-            let base = VICTIM_BASE + ctx.bursts * ctx.victim_pages * ctx.page_bytes;
+            // One burst page per wide secure slice.
+            let pages = ctx.wide as u64;
+            let base = VICTIM_BASE + ctx.bursts * pages * ctx.page_bytes;
             ctx.bursts += 1;
-            total += touch_pages(
-                machine,
-                ctx.victim_core,
-                ctx.victim,
-                base,
-                ctx.victim_pages,
-                ctx.page_bytes,
-                ctx.line_bytes,
-                true,
-            );
+            total +=
+                machine.access_run(ctx.victim_core, ctx.victim, ctx.pages_run(base, pages, true));
         }
 
+        // The attacker's evict-and-sweep over fresh pages; it times nothing
+        // but its own loads, as a real attacker would.
         let sweep_base = SWEEP_BASE + ctx.sweeps * ctx.sweep_pages * ctx.page_bytes;
         ctx.sweeps += 1;
+        let sweep = ctx.pages_run(sweep_base, ctx.sweep_pages, false);
 
         if let Some(m) = manager.as_mut() {
             // IRONHIDE: shrink the secure cluster under the configured purge
@@ -441,20 +388,9 @@ impl WindowAttack {
                     // and replayed *before* any insecure access can time the
                     // residue they left behind.
                     if audited {
-                        detected = (mach.dropped_scrub_log().len() + mach.dropped_purge_log().len())
-                            as u64;
-                        recovered = mach.recover_dropped_scrubs();
+                        (detected, recovered) = mach.audit_dropped_scrubs();
                     }
-                    probe = touch_pages(
-                        mach,
-                        ctx.attacker_core,
-                        ctx.attacker,
-                        sweep_base,
-                        ctx.sweep_pages,
-                        ctx.page_bytes,
-                        ctx.line_bytes,
-                        false,
-                    );
+                    probe = mach.access_run(ctx.attacker_core, ctx.attacker, sweep);
                 },
             )?;
             ctx.dropped_detected += detected;
@@ -467,59 +403,21 @@ impl WindowAttack {
         } else {
             // Temporally shared architectures: no reconfiguration exists, so
             // the sweep simply runs after the victim's secure phase ends.
-            total += match arch {
-                Architecture::Insecure => 0,
-                Architecture::SgxLike => {
-                    machine.clock().us_to_cycles(self.params.sgx_entry_exit_us)
-                }
-                Architecture::Mi6 => mi6_boundary_cost(machine, &self.params),
-                Architecture::Ironhide => unreachable!("IRONHIDE slots go through the manager"),
-                // The temporal fence's domain switch: erase the configured
-                // flush set, charge its state-independent worst-case cost.
-                Architecture::TemporalFence => {
-                    let fence = self.config.temporal_fence;
-                    machine.temporal_flush(fence.set);
-                    fence.switch_cost(&self.config)
-                }
-            };
-            let probe = touch_pages(
-                machine,
-                ctx.attacker_core,
-                ctx.attacker,
-                sweep_base,
-                ctx.sweep_pages,
-                ctx.page_bytes,
-                ctx.line_bytes,
-                false,
-            );
+            total += crossing_cost(machine, arch, &self.params, &self.config);
+            let probe = machine.access_run(ctx.attacker_core, ctx.attacker, sweep);
             total += probe;
             Ok((probe, total))
         }
     }
 }
 
-/// Touches every line of `pages` consecutive pages from `base`, returning
-/// the summed access latencies (the attacker sees nothing a real attacker
-/// could not time on its own loads).
-#[allow(clippy::too_many_arguments)]
-fn touch_pages(
-    machine: &mut Machine,
-    core: NodeId,
-    pid: ProcessId,
-    base: u64,
-    pages: u64,
-    page_bytes: u64,
-    line_bytes: u64,
-    write: bool,
-) -> u64 {
-    let mut cycles = 0u64;
-    for p in 0..pages {
-        let page = base + p * page_bytes;
-        for l in 0..(page_bytes / line_bytes) {
-            cycles += machine.access(core, pid, page + l * line_bytes, write);
-        }
+impl SlotCtx {
+    /// One line-stride run over every line of `pages` consecutive pages
+    /// from `base`.
+    fn pages_run(&self, base: u64, pages: u64, write: bool) -> RefRun {
+        let lines = pages * (self.page_bytes / self.line_bytes);
+        RefRun::new(base, self.line_bytes, u32::try_from(lines).expect("run fits u32"), write)
     }
-    cycles
 }
 
 /// Wraps the window attack as an attack-matrix channel spec under the given

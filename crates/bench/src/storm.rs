@@ -11,6 +11,7 @@ use ironhide_mesh::{ClusterId, NodeId};
 use ironhide_sim::config::MachineConfig;
 use ironhide_sim::machine::Machine;
 use ironhide_sim::process::{ProcessId, SecurityClass};
+use ironhide_sim::stream::RefRun;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -132,10 +133,11 @@ fn warm(
         let vaddr = p * 4096;
         let sc = secure_cores[p as usize % secure_cores.len()];
         let ic = insecure_cores[p as usize % insecure_cores.len()];
-        machine.access(sc, secure, vaddr, p % 3 == 0);
-        machine.access(ic, insecure, vaddr, p % 3 == 1);
+        let sc2 = secure_cores[(p as usize + 1) % secure_cores.len()];
+        machine.access_run(sc, secure, RefRun::new(vaddr, 0, 1, p % 3 == 0));
+        machine.access_run(ic, insecure, RefRun::new(vaddr, 0, 1, p % 3 == 1));
         // A second reader per page gives the directories Shared entries, so
         // the scrub's sharer census has real work.
-        machine.access(secure_cores[(p as usize + 1) % secure_cores.len()], secure, vaddr, false);
+        machine.access_run(sc2, secure, RefRun::new(vaddr, 0, 1, false));
     }
 }

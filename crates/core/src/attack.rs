@@ -10,13 +10,16 @@
 //! the bits from the latencies of its own probe accesses.
 //!
 //! [`AttackRunner`] co-schedules such a pair on one simulated machine under
-//! any of the four execution architectures, reusing the exact machinery the
-//! performance experiments use: the [`SecureKernel`] attests the victim
-//! before it may run, the [`ClusterManager`] pins the pair to distrusting
-//! clusters under IRONHIDE, and MI6's enclave boundaries purge private state,
-//! controller queues and the network. Probe latencies are observed through
-//! the machine's [`LatencyTrace`](ironhide_sim::trace::LatencyTrace) hook —
-//! the attacker sees nothing a real attacker could not time.
+//! any execution architecture, taking placement and boundary crossings from
+//! the same architecture model the performance experiments use
+//! ([`crate::boundary`]): the [`SecureKernel`](crate::kernel::SecureKernel)
+//! attests the victim before it may run, the
+//! [`ClusterManager`](crate::cluster::ClusterManager) pins the pair to
+//! distrusting clusters under IRONHIDE, and MI6's enclave boundaries purge
+//! private state, controller queues and the network. Probe latencies are
+//! observed through the machine's
+//! [`LatencyTrace`](ironhide_sim::trace::LatencyTrace) hook — the attacker
+//! sees nothing a real attacker could not time.
 //!
 //! The decoding side (bit recovery, bit-error rate, channel capacity) lives
 //! in the `ironhide-attacks` crate's `LeakageOracle`; its result is the
@@ -24,24 +27,17 @@
 
 use std::fmt;
 
-use ironhide_cache::SliceId;
 use ironhide_mesh::{ClusterId, NodeId};
 use ironhide_sim::config::MachineConfig;
 use ironhide_sim::machine::Machine;
-use ironhide_sim::process::{ProcessId, SecurityClass};
+use ironhide_sim::process::ProcessId;
 
 use crate::app::RefStream;
 use crate::arch::{ArchParams, Architecture};
-use crate::boundary::mi6_boundary_cost;
-use crate::cluster::ClusterManager;
+use crate::boundary::{bring_up, crossing_cost, Pair};
 use crate::isolation::{IsolationAuditor, IsolationSummary};
-use crate::kernel::{AppDomain, SecureKernel};
 use crate::runner::{issue_run, RunError};
 use crate::speccheck::SpeculativeAccessCheck;
-
-/// Signing key of the simulated attack-victim author (the kernel only needs
-/// signatures to be verifiable, not secret).
-const AUTHOR_KEY: u64 = 0x0A77_ACC0_5EC4_E701;
 
 /// How the attacker and victim are co-scheduled under the temporally shared
 /// architectures (Insecure, SGX, MI6). Under IRONHIDE placement is always
@@ -277,54 +273,24 @@ impl AttackRunner {
         bits: &[bool],
         recycled: Option<Machine>,
     ) -> Result<(AttackTrace, Machine), RunError> {
-        let mut machine = match recycled {
-            Some(mut m) => {
-                m.reset_pristine();
-                m
-            }
-            None => Machine::new(self.config.clone()),
-        };
-        let attacker = machine.create_process("attacker", SecurityClass::Insecure);
-        let victim = machine.create_process("victim", SecurityClass::Secure);
-
         // The victim is a secure process: it must attest before the secure
         // kernel lets it execute. The attacker is unattested insecure code in
         // a foreign trust domain — by construction mutually distrusting.
-        let mut kernel = SecureKernel::new();
-        let image = format!("victim:{}", channel.name()).into_bytes();
-        let signature = SecureKernel::sign(&image, AUTHOR_KEY);
-        kernel.register(victim, &image, signature, AUTHOR_KEY, AppDomain(1))?;
-        kernel.admit(victim, &image)?;
-
+        let image = format!("victim:{}", channel.name());
         let total = self.config.cores();
-        let mut secure_cores = total;
-        let (attacker_core, victim_core) = match arch {
-            // The temporal fence places like the insecure baseline — every
-            // resource shared — and defends only at the slot's boundary
-            // crossings (see AttackRunner::boundary).
-            Architecture::Insecure | Architecture::SgxLike | Architecture::TemporalFence => {
-                (NodeId(0), self.temporal_victim_core(channel))
-            }
-            Architecture::Mi6 => {
-                // MI6's static partition: the secure process homes its pages
-                // on the low half of the slices, the insecure one on the high
-                // half; cores remain time-shared.
-                let half = (total / 2).max(1);
-                let low: Vec<SliceId> = (0..half).map(SliceId).collect();
-                let high: Vec<SliceId> = (half..total).map(SliceId).collect();
-                machine.set_process_slices(victim, &low);
-                machine.set_process_slices(attacker, &high);
-                (NodeId(0), self.temporal_victim_core(channel))
-            }
-            Architecture::Ironhide => {
-                let half = (total / 2).max(1);
-                let (manager, _setup) = ClusterManager::form(&mut machine, victim, attacker, half)?;
-                secure_cores = half;
+        let half = (total / 2).max(1);
+        let Pair { mut machine, insecure: attacker, secure: victim, cluster } =
+            bring_up(recycled, &self.config, arch, ("attacker", "victim"), image.as_bytes(), half)?;
+        // Under IRONHIDE the clusters dictate placement: the attacker takes
+        // the first insecure core, the victim the first secure one.
+        let (attacker_core, victim_core, secure_cores) = match &cluster {
+            Some(manager) => {
                 let vic = manager.cores_iter(ClusterId::Secure).next().expect("non-empty cluster");
                 let att =
                     manager.cores_iter(ClusterId::Insecure).next().expect("non-empty cluster");
-                (att, vic)
+                (att, vic, half)
             }
+            None => (NodeId(0), self.temporal_victim_core(channel), total),
         };
 
         machine.enable_latency_trace(channel.probe().len().max(1));
@@ -385,10 +351,10 @@ impl AttackRunner {
         // 1. The attacker primes the monitored structure.
         total += state.issue(state.attacker, attacker_core, channel.prime(), arch, true);
 
-        // 2. The victim enters its secure phase. MI6 purges at the boundary;
-        //    the other architectures cross it for free or for a constant
-        //    crypto cost.
-        total += self.boundary(&mut state.machine, arch);
+        // 2. The victim enters its secure phase. MI6 purges at the boundary
+        //    and the temporal fence flushes; the other architectures cross
+        //    it for free or for a constant crypto cost.
+        total += crossing_cost(&mut state.machine, arch, &self.params, &self.config);
 
         // 3. The fixed interaction protocol: the victim touches the shared
         //    IPC region (insecure memory) identically every slot, so the
@@ -403,7 +369,7 @@ impl AttackRunner {
         }
 
         // 5. The victim leaves its secure phase.
-        total += self.boundary(&mut state.machine, arch);
+        total += crossing_cost(&mut state.machine, arch, &self.params, &self.config);
 
         // 6. The attacker probes, observing only its own access latencies
         //    through the machine's latency-trace hook.
@@ -416,28 +382,6 @@ impl AttackRunner {
         debug_assert_eq!(probe, issued, "latency trace must observe exactly the probe stream");
         total += probe;
         (probe, total)
-    }
-
-    /// The cost of one secure-phase boundary crossing under `arch`. MI6
-    /// charges the shared boundary model of [`crate::boundary`] — the same
-    /// purge-everything fence the performance runner charges, so the machine
-    /// the attacks run against is exactly the machine the figures price.
-    fn boundary(&self, machine: &mut Machine, arch: Architecture) -> u64 {
-        let clock = machine.clock();
-        match arch {
-            Architecture::Insecure | Architecture::Ironhide => 0,
-            Architecture::SgxLike => clock.us_to_cycles(self.params.sgx_entry_exit_us),
-            Architecture::Mi6 => mi6_boundary_cost(machine, &self.params),
-            // The temporal fence's domain switch: erase the configured flush
-            // set and charge its state-independent worst-case cost. The
-            // policy comes from the runner's config (the per-cell ablation
-            // config), never the recycled machine's stored copy.
-            Architecture::TemporalFence => {
-                let fence = self.config.temporal_fence;
-                machine.temporal_flush(fence.set);
-                fence.switch_cost(&self.config)
-            }
-        }
     }
 }
 

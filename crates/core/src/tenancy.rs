@@ -34,6 +34,7 @@ use ironhide_mesh::NodeId;
 use ironhide_sim::machine::Machine;
 use ironhide_sim::process::SecurityClass;
 
+use crate::app::RefRun;
 use crate::cluster::{ClusterError, ClusterManager, ReconfigError};
 use crate::faults::{FaultArch, FaultKind, FaultSchedule};
 use crate::fnv1a;
@@ -737,11 +738,9 @@ impl<'a> TenancyStorm<'a> {
             // unaudited discipline skips this — that is exactly the negative
             // control the fault-window attack pins OPEN.
             if drop_fault_installed && audited {
-                let detected =
-                    (machine.dropped_scrub_log().len() + machine.dropped_purge_log().len()) as u64;
+                let (detected, recovered) = machine.audit_dropped_scrubs();
                 if detected > 0 {
                     dropped_detected += detected;
-                    let recovered = machine.recover_dropped_scrubs();
                     dropped_recovered += recovered;
                     let cost = recovered.saturating_mul(machine.config().latency.rehome_page);
                     slo.record_stall(cost);
@@ -753,12 +752,9 @@ impl<'a> TenancyStorm<'a> {
         let mut dropped_unrecovered = 0u64;
         if drop_fault_installed {
             if audited {
-                let detected =
-                    (machine.dropped_scrub_log().len() + machine.dropped_purge_log().len()) as u64;
-                if detected > 0 {
-                    dropped_detected += detected;
-                    dropped_recovered += machine.recover_dropped_scrubs();
-                }
+                let (detected, recovered) = machine.audit_dropped_scrubs();
+                dropped_detected += detected;
+                dropped_recovered += recovered;
             }
             dropped_unrecovered = machine.clear_scrub_drop_fault() as u64;
         }
@@ -797,7 +793,7 @@ impl<'a> TenancyStorm<'a> {
         let base = (arrival.tenant + 1) << 26;
         let page = machine.page_bytes();
         for p in 0..(granted as u64 * 4) {
-            machine.access(NodeId(0), secure, base + p * page, p % 2 == 0);
+            machine.access_run(NodeId(0), secure, RefRun::new(base + p * page, 0, 1, p % 2 == 0));
         }
         active.push(ActiveTenant {
             tenant: arrival.tenant,

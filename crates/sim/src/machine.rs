@@ -1293,6 +1293,15 @@ impl Machine {
         packets
     }
 
+    /// One scrub-audit step: counts the dropped packets both audit logs hold
+    /// (the detection), then replays them through
+    /// [`Machine::recover_dropped_scrubs`]. Returns `(detected, recovered)`;
+    /// with nothing dropped both are 0 and no state changes.
+    pub fn audit_dropped_scrubs(&mut self) -> (u64, u64) {
+        let detected = (self.dropped_scrub_log().len() + self.dropped_purge_log().len()) as u64;
+        (detected, self.recover_dropped_scrubs())
+    }
+
     /// Degrades the directional NoC link `(from, to)` by `penalty_cycles`
     /// per traversal (0 repairs it); see [`LatencyModel::set_link_fault`].
     pub fn set_link_fault(&mut self, from: NodeId, to: NodeId, penalty_cycles: u64) {
@@ -2478,10 +2487,11 @@ mod tests {
         // Detection: the audit names every page whose flush the fault ate.
         assert_eq!(faulted.dropped_scrub_log().len(), moved_f as usize);
         assert_eq!(healthy.dropped_scrub_log().len(), 0);
-        // Recovery replays the drops; the audit comes back clean.
-        assert_eq!(faulted.recover_dropped_scrubs(), moved_f);
+        // One audit step detects and replays the drops; the next comes back
+        // clean.
+        assert_eq!(faulted.audit_dropped_scrubs(), (moved_f, moved_f));
         assert!(faulted.dropped_scrub_log().is_empty());
-        assert_eq!(faulted.recover_dropped_scrubs(), 0);
+        assert_eq!(faulted.audit_dropped_scrubs(), (0, 0));
         for p in 0..6u64 {
             for core in [NodeId(0), NodeId(2)] {
                 let h = healthy.access(core, pid, p * 4096, false);
