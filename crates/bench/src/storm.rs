@@ -133,11 +133,11 @@ fn warm(
         let vaddr = p * 4096;
         let sc = secure_cores[p as usize % secure_cores.len()];
         let ic = insecure_cores[p as usize % insecure_cores.len()];
-        let sc2 = secure_cores[(p as usize + 1) % secure_cores.len()];
         machine.access_run(sc, secure, RefRun::new(vaddr, 0, 1, p % 3 == 0));
         machine.access_run(ic, insecure, RefRun::new(vaddr, 0, 1, p % 3 == 1));
         // A second reader per page gives the directories Shared entries, so
         // the scrub's sharer census has real work.
-        machine.access_run(sc2, secure, RefRun::new(vaddr, 0, 1, false));
+        let reader = secure_cores[(p as usize + 1) % secure_cores.len()];
+        machine.access_run(reader, secure, RefRun::new(vaddr, 0, 1, false));
     }
 }
