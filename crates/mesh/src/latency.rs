@@ -9,10 +9,13 @@
 //! cluster's traffic on fewer tiles raises its queueing delay.
 //!
 //! The model consumes lazily-stepped [`RouteIter`]s, so charging a packet
-//! allocates nothing; the link-load tracker hashes link keys with the
-//! deterministic [`fx`](crate::fx) hasher instead of std's keyed SipHash.
+//! allocates nothing. Link load and link faults live in dense arrays indexed
+//! by a link slot (the source tile times four, plus the output direction told
+//! from the node pair alone), so each hop costs one array access instead of a
+//! hash probe. Both arrays grow the first time a higher slot appears and never
+//! shrink, so a warmed network charges packets without touching the
+//! allocator.
 
-use crate::fx::FxHashMap;
 use crate::routing::RouteIter;
 use crate::topology::NodeId;
 
@@ -45,11 +48,34 @@ impl Default for NocLatencyConfig {
     }
 }
 
+/// The dense-array slot of the directional link `from -> to`: `from * 4`
+/// plus the output direction, told from the node pair alone (`to == from + 1`,
+/// `from == to + 1`, `to > from`, `to < from`). Every mesh link joins
+/// neighbours, and a tile has at most one neighbour in each of those four
+/// classes on any mesh width (1×N and N×1 included), so the mapping is
+/// injective over links. A non-neighbour pair aliases a real link's slot,
+/// which is why every entry point that takes a pair is neighbour-only.
+#[inline]
+fn link_slot(from: NodeId, to: NodeId) -> usize {
+    let dir = if to.0 == from.0 + 1 {
+        0
+    } else if from.0 == to.0 + 1 {
+        1
+    } else if to.0 > from.0 {
+        2
+    } else {
+        3
+    };
+    from.0 * 4 + dir
+}
+
 /// Tracks per-link utilisation with an exponential moving average and turns it
 /// into a contention penalty.
 #[derive(Debug, Clone, Default)]
 pub struct LinkLoad {
-    load: FxHashMap<(NodeId, NodeId), f64>,
+    /// Utilisation per link slot (see [`link_slot`]); a slot never written
+    /// reads 0.0.
+    load: Vec<f64>,
 }
 
 impl LinkLoad {
@@ -58,40 +84,44 @@ impl LinkLoad {
         Self::default()
     }
 
-    /// Records that `flits` flits crossed the link `(from, to)` and decays all
-    /// other links slightly.
-    pub fn record(&mut self, from: NodeId, to: NodeId, flits: usize, ema: f64) {
-        self.observe_and_record(from, to, flits, ema);
+    /// Returns the utilisation of the neighbour link `(from, to)` *before*
+    /// this packet, then records the packet's `flits`.
+    pub fn observe_and_record(&mut self, from: NodeId, to: NodeId, flits: usize, ema: f64) -> f64 {
+        self.observe(link_slot(from, to), flits, ema)
     }
 
-    /// Returns the utilisation of `(from, to)` *before* this packet, then
-    /// records the packet's `flits` — one hash lookup instead of the separate
-    /// `utilization` + `record` pair on the hot path.
-    pub fn observe_and_record(&mut self, from: NodeId, to: NodeId, flits: usize, ema: f64) -> f64 {
-        let entry = self.load.entry((from, to)).or_insert(0.0);
+    /// [`LinkLoad::observe_and_record`] on a precomputed slot.
+    #[inline]
+    fn observe(&mut self, slot: usize, flits: usize, ema: f64) -> f64 {
+        if slot >= self.load.len() {
+            self.grow(slot);
+        }
+        let entry = &mut self.load[slot];
         let before = *entry;
         *entry = (1.0 - ema) * before + ema * flits as f64;
         before
     }
 
-    /// Current utilisation estimate of a link, in flits per recorded packet
-    /// (0 when the link has never been used).
-    pub fn utilization(&self, from: NodeId, to: NodeId) -> f64 {
-        self.load.get(&(from, to)).copied().unwrap_or(0.0)
+    /// Extends the array to cover `slot`; runs once per new high-water slot.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, slot: usize) {
+        self.load.resize(slot + 1, 0.0);
     }
 
-    /// The most loaded link currently tracked.
-    pub fn hottest(&self) -> Option<((NodeId, NodeId), f64)> {
-        self.load
-            .iter()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(k, v)| (*k, *v))
+    /// Current utilisation estimate of the neighbour link `(from, to)`, in
+    /// flits per recorded packet (0 when the link has never been used).
+    ///
+    /// `from` and `to` must be mesh neighbours: a non-neighbour pair shares
+    /// a real link's slot and reads that link's load.
+    pub fn utilization(&self, from: NodeId, to: NodeId) -> f64 {
+        self.load.get(link_slot(from, to)).copied().unwrap_or(0.0)
     }
 
     /// Clears all recorded load (used when the network is purged or
-    /// reconfigured).
+    /// reconfigured). Zero-fills in place and frees nothing.
     pub fn reset(&mut self) {
-        self.load.clear();
+        self.load.fill(0.0);
     }
 }
 
@@ -100,15 +130,18 @@ impl LinkLoad {
 pub struct LatencyModel {
     config: NocLatencyConfig,
     load: LinkLoad,
-    /// Extra per-traversal cycles charged on degraded links (directional).
-    /// Empty on a healthy network, so the no-fault hot path pays nothing.
-    link_faults: FxHashMap<(NodeId, NodeId), u64>,
+    /// Extra per-traversal cycles charged on degraded links, per link slot
+    /// (see [`link_slot`]); 0 is healthy.
+    link_faults: Vec<u64>,
+    /// Number of nonzero entries in `link_faults`. Zero on a healthy
+    /// network, so the no-fault hot path pays nothing.
+    faulted: usize,
 }
 
 impl LatencyModel {
     /// Creates a latency model with the given parameters.
     pub fn new(config: NocLatencyConfig) -> Self {
-        LatencyModel { config, load: LinkLoad::new(), link_faults: FxHashMap::default() }
+        LatencyModel { config, load: LinkLoad::new(), link_faults: Vec::new(), faulted: 0 }
     }
 
     /// The configuration in use.
@@ -125,23 +158,35 @@ impl LatencyModel {
     /// crossing it is charged `penalty_cycles` on top of the healthy-link
     /// cost. A penalty of zero removes the fault. Fault injection sets both
     /// directions when a physical link (rather than one channel of it) fails.
+    ///
+    /// `from` and `to` must be mesh neighbours: a non-neighbour pair shares
+    /// a real link's slot and would degrade that link instead.
     pub fn set_link_fault(&mut self, from: NodeId, to: NodeId, penalty_cycles: u64) {
-        if penalty_cycles == 0 {
-            self.link_faults.remove(&(from, to));
-        } else {
-            self.link_faults.insert((from, to), penalty_cycles);
+        let slot = link_slot(from, to);
+        if slot >= self.link_faults.len() {
+            if penalty_cycles == 0 {
+                return;
+            }
+            self.link_faults.resize(slot + 1, 0);
         }
+        let entry = &mut self.link_faults[slot];
+        match (*entry != 0, penalty_cycles != 0) {
+            (false, true) => self.faulted += 1,
+            (true, false) => self.faulted -= 1,
+            _ => {}
+        }
+        *entry = penalty_cycles;
     }
 
     /// The degradation penalty currently charged on `(from, to)` (0 if the
     /// link is healthy).
     pub fn link_fault(&self, from: NodeId, to: NodeId) -> u64 {
-        self.link_faults.get(&(from, to)).copied().unwrap_or(0)
+        self.link_faults.get(link_slot(from, to)).copied().unwrap_or(0)
     }
 
     /// Number of directional links currently marked degraded.
     pub fn faulted_links(&self) -> usize {
-        self.link_faults.len()
+        self.faulted
     }
 
     /// Clears every link fault, restoring a healthy network. Unlike
@@ -149,7 +194,8 @@ impl LatencyModel {
     /// purging queues does not repair hardware — so only machine-level resets
     /// call it.
     pub fn clear_link_faults(&mut self) {
-        self.link_faults.clear();
+        self.link_faults.fill(0);
+        self.faulted = 0;
     }
 
     /// The contention-free cost of a route: per-hop router + link cycles plus
@@ -162,27 +208,40 @@ impl LatencyModel {
         per_hop * hops as u64 + serialization
     }
 
-    /// Latency, in cycles, of sending a packet of `flits` flits along `route`,
-    /// updating link load along the way.
-    pub fn traverse(&mut self, route: RouteIter, flits: usize) -> u64 {
-        let hops = route.hops();
+    /// Charges a packet of `flits` flits over `hops` links, observing and
+    /// recording each link's load in route order. The one loop behind
+    /// [`LatencyModel::traverse`] and [`LatencyModel::traverse_links`].
+    #[inline]
+    fn charge(
+        &mut self,
+        links: impl Iterator<Item = (NodeId, NodeId)>,
+        hops: usize,
+        flits: usize,
+    ) -> u64 {
         if hops == 0 {
             return 0;
         }
         let mut contention = 0.0;
         let mut fault_penalty = 0u64;
-        let faulted = !self.link_faults.is_empty();
-        for (from, to) in route.links() {
-            let util = self.load.observe_and_record(from, to, flits, self.config.load_ema);
+        let faulted = self.faulted > 0;
+        for (from, to) in links {
+            let slot = link_slot(from, to);
+            let util = self.load.observe(slot, flits, self.config.load_ema);
             // Saturating logistic-ish penalty: util is in flits/packet, a link
             // carrying full data packets every cycle approaches the max.
             let norm = (util / 5.0).min(1.0);
             contention += norm * self.config.max_contention_cycles as f64;
             if faulted {
-                fault_penalty += self.link_faults.get(&(from, to)).copied().unwrap_or(0);
+                fault_penalty += self.link_faults.get(slot).copied().unwrap_or(0);
             }
         }
         self.base_latency(hops, flits) + contention.round() as u64 + fault_penalty
+    }
+
+    /// Latency, in cycles, of sending a packet of `flits` flits along `route`,
+    /// updating link load along the way.
+    pub fn traverse(&mut self, route: RouteIter, flits: usize) -> u64 {
+        self.charge(route.links(), route.hops(), flits)
     }
 
     /// Latency of a packet of `flits` flits over a route whose links were
@@ -195,21 +254,7 @@ impl LatencyModel {
     /// packets and then charges each packet against the cached link list —
     /// skipping the per-packet route stepping and containment re-selection.
     pub fn traverse_links(&mut self, links: &[(NodeId, NodeId)], flits: usize) -> u64 {
-        if links.is_empty() {
-            return 0;
-        }
-        let mut contention = 0.0;
-        let mut fault_penalty = 0u64;
-        let faulted = !self.link_faults.is_empty();
-        for (from, to) in links {
-            let util = self.load.observe_and_record(*from, *to, flits, self.config.load_ema);
-            let norm = (util / 5.0).min(1.0);
-            contention += norm * self.config.max_contention_cycles as f64;
-            if faulted {
-                fault_penalty += self.link_faults.get(&(*from, *to)).copied().unwrap_or(0);
-            }
-        }
-        self.base_latency(links.len(), flits) + contention.round() as u64 + fault_penalty
+        self.charge(links.iter().copied(), links.len(), flits)
     }
 
     /// Latency of a route with no load bookkeeping (used for what-if queries
@@ -277,19 +322,50 @@ mod tests {
         assert_eq!(model.estimate(r, 5), model.traverse(r, 5));
     }
 
+    /// The meshes the equivalence and slot tests sweep: a small rectangle,
+    /// the paper's 8×8, and both degenerate widths, where `from + 1` is a
+    /// vertical neighbour (1 wide) or every link is horizontal (1 high).
+    const MESHES: [(usize, usize); 4] = [(4, 2), (8, 8), (1, 8), (8, 1)];
+
+    /// Calls `f` with every `(src, dst)` route of every mesh in [`MESHES`]
+    /// under both routing orders, plus the pair's running index.
+    fn for_every_route(mut f: impl FnMut(RouteIter, usize)) {
+        let mut i = 0;
+        for (w, h) in MESHES {
+            let m = MeshTopology::new(w, h);
+            for algorithm in [RoutingAlgorithm::XY, RoutingAlgorithm::YX] {
+                for src in 0..m.nodes() {
+                    for dst in 0..m.nodes() {
+                        f(m.route_iter(NodeId(src), NodeId(dst), algorithm), i);
+                        i += 1;
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn traverse_links_matches_traverse() {
-        let m = MeshTopology::new(8, 8);
         let mut a = LatencyModel::default();
         let mut b = LatencyModel::default();
-        let r = m.route_iter(NodeId(2), NodeId(45), RoutingAlgorithm::XY);
-        let links: Vec<(NodeId, NodeId)> = r.links().collect();
         // Repeated traffic builds identical load state through both entry
-        // points, packet by packet.
-        for i in 0..200 {
-            let flits = if i % 3 == 0 { 5 } else { 1 };
-            assert_eq!(a.traverse(r, flits), b.traverse_links(&links, flits), "packet {i}");
-        }
+        // points, packet by packet, over every route; purges (and repairs,
+        // which must not disturb load) land between routes on both sides.
+        for_every_route(|r, i| {
+            let links: Vec<(NodeId, NodeId)> = r.links().collect();
+            for p in 0..3 {
+                let flits = if (i + p) % 3 == 0 { 5 } else { 1 };
+                assert_eq!(a.traverse(r, flits), b.traverse_links(&links, flits), "route {i}");
+            }
+            if i % 7 == 0 {
+                a.reset_load();
+                b.reset_load();
+            }
+            if i % 11 == 0 {
+                a.clear_link_faults();
+                b.clear_link_faults();
+            }
+        });
         assert_eq!(a.traverse_links(&[], 5), 0);
     }
 
@@ -310,25 +386,52 @@ mod tests {
 
     #[test]
     fn link_faults_charge_identically_through_both_entry_points() {
-        let m = MeshTopology::new(8, 8);
         let mut a = LatencyModel::default();
         let mut b = LatencyModel::default();
+        let mut healthy = LatencyModel::default();
+        for_every_route(|r, i| {
+            let links: Vec<(NodeId, NodeId)> = r.links().collect();
+            // Degrade the route's middle link, and periodically the reverse
+            // channel of its first link, which this route never crosses.
+            if let Some(&(from, to)) = links.get(links.len() / 2) {
+                a.set_link_fault(from, to, 37);
+                b.set_link_fault(from, to, 37);
+            }
+            if i % 5 == 0 {
+                if let Some(&(from, to)) = links.first() {
+                    a.set_link_fault(to, from, 1_000);
+                    b.set_link_fault(to, from, 1_000);
+                }
+            }
+            for p in 0..3 {
+                let flits = if (i + p) % 3 == 0 { 5 } else { 1 };
+                assert_eq!(a.traverse(r, flits), b.traverse_links(&links, flits), "route {i}");
+            }
+            assert_eq!(a.faulted_links(), b.faulted_links());
+            if i % 7 == 0 {
+                a.reset_load();
+                b.reset_load();
+            }
+            if i % 11 == 0 {
+                a.clear_link_faults();
+                b.clear_link_faults();
+                assert_eq!(a.faulted_links(), 0);
+                // Repaired and purged, the route costs what it does on a
+                // healthy network.
+                a.reset_load();
+                healthy.reset_load();
+                assert_eq!(a.traverse(r, 5), healthy.traverse(r, 5), "route {i}");
+                b.reset_load();
+                b.traverse_links(&links, 5);
+            }
+        });
+        // Off-route faults cost nothing.
+        let m = MeshTopology::new(8, 8);
         let r = m.route_iter(NodeId(2), NodeId(45), RoutingAlgorithm::XY);
-        let links: Vec<(NodeId, NodeId)> = r.links().collect();
-        let (from, to) = links[1];
-        a.set_link_fault(from, to, 37);
-        b.set_link_fault(from, to, 37);
-        for i in 0..100 {
-            let flits = if i % 3 == 0 { 5 } else { 1 };
-            assert_eq!(a.traverse(r, flits), b.traverse_links(&links, flits), "packet {i}");
-        }
-        // Off-route faults cost nothing; clearing restores the healthy cost.
         let mut healthy = LatencyModel::default();
         let mut elsewhere = LatencyModel::default();
         elsewhere.set_link_fault(NodeId(60), NodeId(61), 1_000);
         assert_eq!(elsewhere.traverse(r, 5), healthy.traverse(r, 5));
-        a.clear_link_faults();
-        assert_eq!(a.faulted_links(), 0);
     }
 
     #[test]
@@ -350,17 +453,41 @@ mod tests {
     }
 
     #[test]
-    fn hottest_link_reported() {
+    fn utilization_reads_route_links_only() {
         let m = MeshTopology::new(4, 4);
         let mut model = LatencyModel::default();
         let r = m.route_iter(NodeId(0), NodeId(3), RoutingAlgorithm::XY);
         for _ in 0..10 {
             model.traverse(r, 5);
         }
-        let ((from, to), util) = model.load().hottest().unwrap();
-        // All links of the 0 -> 3 route carry the same load, so any of them
-        // may be reported; it must at least lie on the route.
-        assert!(from.0 < 3 && to.0 <= 3 && to.0 == from.0 + 1);
-        assert!(util > 0.0);
+        for (from, to) in r.links() {
+            assert!(model.load().utilization(from, to) > 0.0, "{from} -> {to}");
+        }
+        // Neither the reverse channel nor a link off the route saw traffic.
+        assert_eq!(model.load().utilization(NodeId(1), NodeId(0)), 0.0);
+        assert_eq!(model.load().utilization(NodeId(4), NodeId(5)), 0.0);
+        // A link beyond anything recorded reads 0 as well.
+        assert_eq!(model.load().utilization(NodeId(14), NodeId(15)), 0.0);
+        model.reset_load();
+        assert_eq!(model.load().utilization(NodeId(0), NodeId(1)), 0.0);
+    }
+
+    #[test]
+    fn neighbour_links_map_to_distinct_slots() {
+        for (w, h) in MESHES {
+            let m = MeshTopology::new(w, h);
+            let mut seen = crate::fx::FxHashMap::default();
+            for from in (0..m.nodes()).map(NodeId) {
+                for to in m.neighbors(from) {
+                    let slot = link_slot(from, to);
+                    assert!(slot < m.nodes() * 4, "{w}x{h}: {from} -> {to} slot {slot}");
+                    if let Some(other) = seen.insert(slot, (from, to)) {
+                        panic!("{w}x{h}: {from} -> {to} shares slot {slot} with {other:?}");
+                    }
+                }
+            }
+            let links = 2 * ((w - 1) * h + w * (h - 1));
+            assert_eq!(seen.len(), links, "{w}x{h}");
+        }
     }
 }

@@ -1304,7 +1304,15 @@ impl Machine {
 
     /// Degrades the directional NoC link `(from, to)` by `penalty_cycles`
     /// per traversal (0 repairs it); see [`LatencyModel::set_link_fault`].
+    ///
+    /// # Panics
+    ///
+    /// If `from` and `to` are not mesh neighbours: no link joins them.
     pub fn set_link_fault(&mut self, from: NodeId, to: NodeId, penalty_cycles: u64) {
+        assert!(
+            self.topology().distance(from, to) == 1,
+            "link fault on {from} -> {to}: only neighbouring tiles share a link"
+        );
         self.noc.set_link_fault(from, to, penalty_cycles);
     }
 
@@ -2538,6 +2546,14 @@ mod tests {
         assert!(m.dropped_scrub_log().is_empty());
         assert_eq!(m.noc.faulted_links(), 0);
         assert_eq!(m.controllers[0].fault_stall(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "link fault on n0 -> n3")]
+    fn link_fault_between_non_neighbours_is_rejected() {
+        // Diagonal on the 2×2 test mesh: no link joins the pair, and its
+        // slot would alias the real link n0 -> n2.
+        machine().set_link_fault(NodeId(0), NodeId(3), 5);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Proof of the hot path's zero-allocation invariant.
 //!
 //! Installs a counting global allocator, warms a paper-scale machine until
-//! every page is allocated and every NoC link has been seen, then asserts
-//! that 10,000 further `Machine::access` calls — covering L1 hits, L1 misses
-//! serviced by a remote L2 slice, and L2 misses serviced by DRAM with dirty
-//! evictions, under an active cluster map — perform **zero** heap
+//! every page is allocated and the NoC's dense link-load array has grown to
+//! the highest link slot the pattern uses, then asserts that 10,000 further
+//! `Machine::access` calls — covering L1 hits, L1 misses serviced by a
+//! remote L2 slice, and L2 misses serviced by DRAM with dirty evictions,
+//! under an active cluster map — perform **zero** heap
 //! allocations. The same is then asserted with the per-access latency-trace
 //! hook attached (the observability the leakage oracle relies on): the ring
 //! buffer is allocated once at attach time, and recording into it is free.
@@ -88,7 +89,7 @@ fn main() {
     machine.set_process_slices(pid, &[SliceId(0)]);
 
     // Warm up: two full replays allocate every page, fill the TLBs/caches and
-    // touch every NoC link the pattern will ever use.
+    // grow the link-load array over every NoC link the pattern will ever use.
     for _ in 0..2 {
         replay(&mut machine, pid);
     }
