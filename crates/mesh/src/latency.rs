@@ -84,13 +84,8 @@ impl LinkLoad {
         Self::default()
     }
 
-    /// Returns the utilisation of the neighbour link `(from, to)` *before*
-    /// this packet, then records the packet's `flits`.
-    pub fn observe_and_record(&mut self, from: NodeId, to: NodeId, flits: usize, ema: f64) -> f64 {
-        self.observe(link_slot(from, to), flits, ema)
-    }
-
-    /// [`LinkLoad::observe_and_record`] on a precomputed slot.
+    /// Returns the utilisation of link `slot` *before* this packet, then
+    /// records the packet's `flits`.
     #[inline]
     fn observe(&mut self, slot: usize, flits: usize, ema: f64) -> f64 {
         if slot >= self.load.len() {
